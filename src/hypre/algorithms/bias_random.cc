@@ -57,26 +57,10 @@ Result<BiasRandomResult> BiasRandomSelection(
   Combiner combiner(&preferences);
   CombinationProber prober(&combiner, &enhancer.probe_engine());
   BatchProber batch(&prober, options);
-  if (options.batching && !preferences.empty()) {
-    HYPRE_RETURN_NOT_OK(prober.PrefetchAll());
-  }
+  if (!preferences.empty()) HYPRE_RETURN_NOT_OK(prober.PrefetchAll());
   BiasRandomResult result;
   Rng rng(seed);
 
-  // With batching on, the seed generation (chain = {first} against every
-  // other preference) is evaluated as ONE batch and the Step-4 redraw loop
-  // consults the precomputed counts; ext_counts[p] is only valid for p in
-  // the pool the last refresh saw. The draw sequence and every probe
-  // verdict are identical to the scalar path, which probes one candidate
-  // at a time.
-  std::vector<size_t> ext_counts(preferences.size(), 0);
-  auto refresh = [&](const KeyBitmap& chain_bits,
-                     const std::vector<size_t>& pool) -> Status {
-    HYPRE_ASSIGN_OR_RETURN(std::vector<size_t> counts,
-                           batch.CountExtensions(chain_bits, pool));
-    for (size_t p = 0; p < pool.size(); ++p) ext_counts[pool[p]] = counts[p];
-    return Status::OK();
-  };
   auto consult = [&](size_t count) {
     if (count > 0) {
       ++result.valid_checks;
@@ -87,11 +71,14 @@ Result<BiasRandomResult> BiasRandomSelection(
   };
 
   // Budget: one charge per CONSUMED verdict (the seed table's precomputed
-  // counts are only charged when a draw consults them), so the truncation
-  // point is identical batched or scalar. The in-flight chain is dropped,
-  // not recorded, when the budget runs dry mid-chain.
+  // counts are only charged when a draw consults them), so a budgeted run
+  // draws exactly like an unbudgeted one up to its truncation point. The
+  // in-flight chain is dropped, not recorded, when the budget runs dry
+  // mid-chain.
   bool budget_dry = false;
 
+  // ext_counts[p]: count of {first, p}, valid for p in the current pool.
+  std::vector<size_t> ext_counts(preferences.size(), 0);
   KeyBitmap chain_bits;
   for (size_t first = 0; first < preferences.size() && !budget_dry;
        ++first) {
@@ -99,11 +86,15 @@ Result<BiasRandomResult> BiasRandomSelection(
     for (size_t i = 0; i < preferences.size(); ++i) {
       if (i != first) pool.push_back(i);
     }
-    if (options.batching && !pool.empty()) {
-      // chain = {first}: one generation answers every seed probe below.
-      HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* first_bits,
-                             prober.PreferenceBits(first));
-      HYPRE_RETURN_NOT_OK(refresh(*first_bits, pool));
+    // The seed generation (chain = {first} against every other preference)
+    // is evaluated as ONE batch; the Step-4 redraw loop below consults the
+    // precomputed counts.
+    HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* first_bits,
+                           prober.PreferenceBits(first));
+    if (!pool.empty()) {
+      HYPRE_ASSIGN_OR_RETURN(std::vector<size_t> counts,
+                             batch.CountExtensions(*first_bits, pool));
+      for (size_t p = 0; p < pool.size(); ++p) ext_counts[pool[p]] = counts[p];
     }
     // Find an applicable two-preference seed (Step 1-2 of §5.4).
     while (!pool.empty()) {
@@ -112,23 +103,13 @@ Result<BiasRandomResult> BiasRandomSelection(
         break;
       }
       size_t second = DrawBiased(preferences, &pool, &rng);
-      Combination chain =
-          combiner.AndExtend(combiner.Single(first), second);
-      size_t chain_count;
-      if (options.batching) {
-        chain_count = ext_counts[second];
-      } else {
-        HYPRE_ASSIGN_OR_RETURN(chain_count, prober.Count(chain));
-      }
+      size_t chain_count = ext_counts[second];
       if (!consult(chain_count)) continue;  // try another second (Step 4)
-      if (options.batching) {
-        HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* first_bits,
-                               prober.PreferenceBits(first));
-        HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* second_bits,
-                               prober.PreferenceBits(second));
-        chain_bits = *first_bits;
-        chain_bits.AndWith(*second_bits);
-      }
+      Combination chain = combiner.AndExtend(combiner.Single(first), second);
+      HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* second_bits,
+                             prober.PreferenceBits(second));
+      chain_bits = *first_bits;
+      chain_bits.AndWith(*second_bits);
       // Extend the chain until a probe fails or the pool runs dry
       // (Steps 3-6). Unlike the seed loop, an extension table would be
       // consulted at most once before the chain state changes (success) or
@@ -145,27 +126,17 @@ Result<BiasRandomResult> BiasRandomSelection(
           break;
         }
         size_t next = DrawBiased(preferences, &pool, &rng);
-        Combination extended = combiner.AndExtend(chain, next);
-        size_t extended_count;
-        if (options.batching) {
-          HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* next_bits,
-                                 prober.PreferenceBits(next));
-          extended_count = KeyBitmap::AndCount(chain_bits, *next_bits);
-          enhancer.probe_engine().NoteProbesAnswered(1);
-        } else {
-          HYPRE_ASSIGN_OR_RETURN(extended_count, prober.Count(extended));
-        }
+        HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* next_bits,
+                               prober.PreferenceBits(next));
+        size_t extended_count = KeyBitmap::AndCount(chain_bits, *next_bits);
+        enhancer.probe_engine().NoteProbesAnswered(1);
         if (!consult(extended_count)) {
           Record(combiner, control, chain, chain_count, &result.records);
           break;
         }
-        chain = std::move(extended);
+        chain = combiner.AndExtend(chain, next);
         chain_count = extended_count;
-        if (options.batching) {
-          HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* next_bits,
-                                 prober.PreferenceBits(next));
-          chain_bits.AndWith(*next_bits);
-        }
+        chain_bits.AndWith(*next_bits);
       }
       break;  // chain recorded; move to the next starting preference
     }

@@ -32,23 +32,20 @@ struct BiasRandomResult {
 /// chain start; subsequent members are drawn (without replacement) with
 /// probability proportional to intensity. A chain ends — and is recorded —
 /// when an extension probe comes back empty or the pool is exhausted.
-/// Deterministic given `seed`. With `options.batching` the seed generation
-/// (every candidate second member of a chain start) is evaluated as one
-/// batch up front — that table answers the whole Step-4 redraw loop, which
-/// is where a random search burns most of its probes (Figures 35/36) —
-/// while chain extensions probe the drawn candidate against an
-/// incrementally maintained chain bitmap. The draw sequence, probe
-/// verdicts, valid/invalid tallies, and records are identical to the
-/// scalar path.
+/// Deterministic given `seed`. The seed generation (every candidate second
+/// member of a chain start) is evaluated as one batch up front — that table
+/// answers the whole Step-4 redraw loop, which is where a random search
+/// burns most of its probes (Figures 35/36) — while chain extensions probe
+/// the drawn candidate against an incrementally maintained chain bitmap.
 ///
 /// `control` bounds the probe spend: every consulted check (valid or
 /// invalid) charges one probe, and the run stops — truncated, the
-/// in-flight chain dropped — when the budget runs dry; because checks are
-/// charged as their verdicts are CONSUMED, a budgeted run is identical
-/// batched or scalar. Records stream through the control's sink in probe
-/// order. Prefer dispatching by name through
-/// api::Session::Enumerate("bias-random") — this free function is the
-/// compatibility entry point it wraps.
+/// in-flight chain dropped — when the budget runs dry. Checks are charged
+/// as their verdicts are CONSUMED, so a budgeted run makes the same draws
+/// and streams a prefix of the unbudgeted run's records. Records stream
+/// through the control's sink in probe order. Prefer dispatching by name
+/// through api::Session::Enumerate("bias-random") — this free function is
+/// the compatibility entry point it wraps.
 Result<BiasRandomResult> BiasRandomSelection(
     const std::vector<PreferenceAtom>& preferences,
     const QueryEnhancer& enhancer, uint64_t seed,

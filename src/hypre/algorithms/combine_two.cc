@@ -14,7 +14,7 @@ Result<std::vector<CombinationRecord>> CombineTwo(
   if (preferences.size() < 2) return records;
 
   // Build the whole C(N,2) frontier in generation order, then evaluate it as
-  // one batch (or scalar probes when batching is off).
+  // one batch.
   std::vector<Combination> frontier;
   frontier.reserve(preferences.size() * (preferences.size() - 1) / 2);
   for (size_t i = 0; i + 1 < preferences.size(); ++i) {
@@ -31,15 +31,13 @@ Result<std::vector<CombinationRecord>> CombineTwo(
   }
 
   // The budget admits a generation-order prefix of the pair frontier BEFORE
-  // probing, so batched and scalar runs truncate at the same pair.
+  // probing, so a budgeted run emits a prefix of the unbudgeted records.
   frontier.resize(control.Admit(frontier.size()));
   if (frontier.empty()) return records;
 
-  if (options.batching) {
-    HYPRE_RETURN_NOT_OK(prober.PrefetchAll());
-  }
+  HYPRE_RETURN_NOT_OK(prober.PrefetchAll());
   HYPRE_ASSIGN_OR_RETURN(std::vector<size_t> counts,
-                         batch.CountMaybeBatched(frontier));
+                         batch.CountBatch(frontier));
 
   records.reserve(frontier.size());
   for (size_t f = 0; f < frontier.size(); ++f) {

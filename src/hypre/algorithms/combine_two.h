@@ -25,10 +25,9 @@ enum class CombineSemantics { kAnd, kAndOr };
 
 /// \brief Runs Combine-Two over `preferences` (must be sorted descending by
 /// intensity; use SortByIntensityDesc). Emits one record per pair in
-/// generation order: (0,1), (0,2), ..., (1,2), (1,3), ... With
-/// `options.batching` all C(N,2) pair combinations are submitted as one
-/// batch frontier (bulk leaf prefetch + one blocked shard pass); records
-/// are identical either way.
+/// generation order: (0,1), (0,2), ..., (1,2), (1,3), ... All C(N,2) pair
+/// combinations are submitted as one batch frontier (bulk leaf prefetch +
+/// one blocked shard pass).
 ///
 /// `control` bounds the probe spend (one probe per pair; only the admitted
 /// generation-order prefix is probed, truncated otherwise) and streams each

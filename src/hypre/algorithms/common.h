@@ -11,10 +11,16 @@
 // bounds how many combination probes a run may spend (with a truncation
 // verdict when it stops early), and streaming sinks that receive records /
 // ranked tuples as they are produced instead of only in the final vector.
-// Budgets are charged at the SAME granularity on the batched and scalar
-// paths (a generation/frontier is admitted as a prefix before it is
-// probed), so a budgeted run emits byte-identical records whether batching
-// is on or off.
+// Budgets are charged before probing (a generation/frontier is admitted as
+// a prefix, a bias-random check as its verdict is consumed), so for the
+// generation-ordered algorithms — exhaustive, combine-two,
+// partially-combine-all and bias-random — a budgeted run's record-sink
+// stream is a prefix of the unbudgeted run's stream, with the truncation
+// flag set when the budget cut it short.
+//
+// Every algorithm probes through BatchProber (batch_prober.h); there is no
+// per-combination scalar path. The tests check each emitted record's
+// num_tuples against an independent oracle (tests/probe_oracle.h).
 #pragma once
 
 #include <algorithm>

@@ -12,6 +12,14 @@ Result<std::vector<CombinationRecord>> ExhaustiveAndCombinations(
     const QueryEnhancer& enhancer, size_t max_n,
     const ProbeOptions& options, const EnumerationControl& control) {
   size_t n = preferences.size();
+  // Subsets are enumerated as bits of a uint64_t mask, so 64 or more
+  // preferences cannot be represented (and 2^64 probes never finish).
+  constexpr size_t kMaskBits = 64;
+  if (n >= kMaskBits) {
+    return Status::InvalidArgument(StringFormat(
+        "exhaustive enumeration supports at most %zu preferences, got %zu",
+        kMaskBits - 1, n));
+  }
   if (n > max_n) {
     return Status::InvalidArgument(StringFormat(
         "exhaustive enumeration over %zu preferences would probe 2^%zu - 1 "
@@ -21,19 +29,17 @@ Result<std::vector<CombinationRecord>> ExhaustiveAndCombinations(
   Combiner combiner(&preferences);
   CombinationProber prober(&combiner, &enhancer.probe_engine());
   BatchProber batch(&prober, options);
-  if (options.batching && n > 0) {
-    HYPRE_RETURN_NOT_OK(prober.PrefetchAll());
-  }
+  if (n > 0) HYPRE_RETURN_NOT_OK(prober.PrefetchAll());
   std::vector<CombinationRecord> records;
 
   // Probe the subset space one fixed-size generation at a time: build the
-  // next chunk of combinations, evaluate them in one blocked batch pass (or
-  // scalar probes when batching is off), keep the applicable ones.
+  // next chunk of combinations, evaluate them in one blocked batch pass,
+  // keep the applicable ones.
   constexpr size_t kGeneration = 2048;
   std::vector<Combination> frontier;
   bool budget_dry = false;
-  // The budget admits each generation as a prefix BEFORE it is probed, so
-  // batched and scalar runs truncate at the same subset either way.
+  // The budget admits each generation as a prefix BEFORE it is probed, so a
+  // budgeted run streams a prefix of the unbudgeted run's records.
   auto flush = [&]() -> Status {
     if (frontier.empty()) return Status::OK();
     size_t admitted = control.Admit(frontier.size());
@@ -43,7 +49,7 @@ Result<std::vector<CombinationRecord>> ExhaustiveAndCombinations(
       if (frontier.empty()) return Status::OK();
     }
     HYPRE_ASSIGN_OR_RETURN(std::vector<size_t> counts,
-                           batch.CountMaybeBatched(frontier));
+                           batch.CountBatch(frontier));
     for (size_t f = 0; f < frontier.size(); ++f) {
       if (counts[f] == 0) continue;
       CombinationRecord record;

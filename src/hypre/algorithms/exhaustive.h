@@ -19,10 +19,10 @@ namespace core {
 
 /// \brief All applicable AND combinations (any size >= 1), descending by
 /// combined intensity. Fails with InvalidArgument when N > `max_n`
-/// (default 20) to prevent accidental 2^N blowups. With `options.batching`
-/// the subset space is probed in fixed-size batched generations (bulk leaf
-/// prefetch + blocked shard passes) instead of one scalar probe per subset;
-/// records are identical either way.
+/// (default 20) to prevent accidental 2^N blowups, and when N >= 64
+/// whatever `max_n` says: the subset space is enumerated as a 64-bit mask.
+/// The subset space is probed in fixed-size batched generations (bulk leaf
+/// prefetch + blocked shard passes).
 ///
 /// `control` bounds the probe spend (one probe per subset; the run stops —
 /// truncated — once the budget is spent) and streams applicable records in

@@ -7,11 +7,11 @@ namespace core {
 
 namespace {
 
-/// Probes one generation of combinations — as a single batch frontier when
-/// batching is on, scalar probes otherwise — and appends a record per
-/// combination in generation order. The budget admits a generation-order
-/// prefix BEFORE probing (identical truncation batched or scalar); sets
-/// `*budget_dry` when the generation did not fully fit.
+/// Probes one generation of combinations as a single batch frontier and
+/// appends a record per combination in generation order. The budget admits
+/// a generation-order prefix BEFORE probing, so a budgeted run emits a
+/// prefix of the unbudgeted records; sets `*budget_dry` when the generation
+/// did not fully fit.
 Status RunGeneration(const Combiner& combiner, const BatchProber& batch,
                      const EnumerationControl& control,
                      std::vector<Combination> generation,
@@ -25,7 +25,7 @@ Status RunGeneration(const Combiner& combiner, const BatchProber& batch,
     if (generation.empty()) return Status::OK();
   }
   HYPRE_ASSIGN_OR_RETURN(std::vector<size_t> counts,
-                         batch.CountMaybeBatched(generation));
+                         batch.CountBatch(generation));
   for (size_t g = 0; g < generation.size(); ++g) {
     CombinationRecord record;
     record.num_predicates = generation[g].NumPredicates();
@@ -49,9 +49,7 @@ Result<std::vector<CombinationRecord>> PartiallyCombineAll(
   Combiner combiner(&preferences);
   CombinationProber prober(&combiner, &enhancer.probe_engine());
   BatchProber batch(&prober, options);
-  if (options.batching && !preferences.empty()) {
-    HYPRE_RETURN_NOT_OK(prober.PrefetchAll());
-  }
+  if (!preferences.empty()) HYPRE_RETURN_NOT_OK(prober.PrefetchAll());
   std::vector<CombinationRecord> records;
   std::vector<Combination> queries_ran;
   std::set<std::string> attributes_used;

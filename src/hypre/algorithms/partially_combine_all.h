@@ -31,9 +31,8 @@ namespace core {
 /// by intensity). Records are emitted in probe order; combination sizes grow
 /// over time, and the same size reappears whenever older combinations are
 /// re-run with a new conjunct (which is why Figures 32-34 plot "combination
-/// order" per size). With `options.batching` each generation — the set of
-/// combinations a new preference spawns — is submitted as one batch
-/// frontier; records are identical either way.
+/// order" per size). Each generation — the set of combinations a new
+/// preference spawns — is submitted as one batch frontier.
 ///
 /// `control` bounds the probe spend (one probe per spawned combination; each
 /// generation is admitted as a prefix before probing and the run stops —

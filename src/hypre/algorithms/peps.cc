@@ -13,7 +13,6 @@ Peps::Peps(const std::vector<PreferenceAtom>* preferences,
       enhancer_(enhancer),
       combiner_(preferences),
       prober_(&combiner_, &enhancer->probe_engine()),
-      options_(options),
       batch_(&prober_, options) {}
 
 bool Peps::PairApplicable(size_t a, size_t b) const {
@@ -41,38 +40,21 @@ Status Peps::PrecomputePairs(const EnumerationControl& control) {
     pair_applicable_[j * n + i] = true;
   };
 
-  if (options_.batching) {
-    // Bulk leaf prefetch (one executor pass), then the whole upper triangle
-    // as one blocked shard pass. The budget admits a generation-order
-    // prefix of the triangle, matching the scalar loop's truncation point.
-    HYPRE_RETURN_NOT_OK(prober_.PrefetchAll());
-    std::vector<std::pair<size_t, size_t>> pair_list;
-    pair_list.reserve(n * (n - 1) / 2);
-    for (size_t i = 0; i + 1 < n; ++i) {
-      for (size_t j = i + 1; j < n; ++j) pair_list.emplace_back(i, j);
-    }
-    pair_list.resize(control.Admit(pair_list.size()));
-    if (!pair_list.empty()) {
-      HYPRE_ASSIGN_OR_RETURN(std::vector<size_t> counts,
-                             batch_.CountPairs(pair_list));
-      for (size_t p = 0; p < pair_list.size(); ++p) {
-        record_pair(pair_list[p].first, pair_list[p].second, counts[p]);
-      }
-    }
-  } else {
-    bool budget_dry = false;
-    for (size_t i = 0; i + 1 < n && !budget_dry; ++i) {
-      HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* bits_i,
-                             prober_.PreferenceBits(i));
-      for (size_t j = i + 1; j < n; ++j) {
-        if (control.Admit(1) == 0) {
-          budget_dry = true;
-          break;
-        }
-        HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* bits_j,
-                               prober_.PreferenceBits(j));
-        record_pair(i, j, KeyBitmap::AndCount(*bits_i, *bits_j));
-      }
+  // Bulk leaf prefetch (one executor pass), then the whole upper triangle
+  // as one blocked shard pass. The budget admits a generation-order prefix
+  // of the triangle.
+  HYPRE_RETURN_NOT_OK(prober_.PrefetchAll());
+  std::vector<std::pair<size_t, size_t>> pair_list;
+  pair_list.reserve(n * (n - 1) / 2);
+  for (size_t i = 0; i + 1 < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) pair_list.emplace_back(i, j);
+  }
+  pair_list.resize(control.Admit(pair_list.size()));
+  if (!pair_list.empty()) {
+    HYPRE_ASSIGN_OR_RETURN(std::vector<size_t> counts,
+                           batch_.CountPairs(pair_list));
+    for (size_t p = 0; p < pair_list.size(); ++p) {
+      record_pair(pair_list[p].first, pair_list[p].second, counts[p]);
     }
   }
   std::stable_sort(pairs_.begin(), pairs_.end(),
@@ -170,8 +152,7 @@ Result<std::vector<CombinationRecord>> Peps::GenerateOrder(
       candidates.push_back(k);
     }
     // The budget admits a prefix of the frame's candidate frontier BEFORE
-    // probing (identical truncation batched or scalar); once dry, the DFS
-    // stops after this frame.
+    // probing; once dry, the DFS stops after this frame.
     size_t admitted = control.Admit(candidates.size());
     if (admitted < candidates.size()) {
       budget_dry = true;
@@ -179,22 +160,12 @@ Result<std::vector<CombinationRecord>> Peps::GenerateOrder(
     }
     if (candidates.empty()) continue;
 
-    // Verify the whole frontier against the frame's bitmap: one blocked
-    // batch pass when batching is on, one AND+popcount per candidate off.
+    // Verify the whole frontier against the frame's bitmap in one blocked
+    // batch pass.
     HYPRE_RETURN_NOT_OK(prober_.BitsInto(frame.combination, &frame_bits));
     num_expansion_probes_ += candidates.size();
-    std::vector<size_t> counts;
-    if (options_.batching) {
-      HYPRE_ASSIGN_OR_RETURN(counts,
-                             batch_.CountExtensions(frame_bits, candidates));
-    } else {
-      counts.reserve(candidates.size());
-      for (size_t k : candidates) {
-        HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* k_bits,
-                               prober_.PreferenceBits(k));
-        counts.push_back(KeyBitmap::AndCount(frame_bits, *k_bits));
-      }
-    }
+    HYPRE_ASSIGN_OR_RETURN(std::vector<size_t> counts,
+                           batch_.CountExtensions(frame_bits, candidates));
     for (size_t c = 0; c < candidates.size(); ++c) {
       if (counts[c] == 0) continue;
       size_t k = candidates[c];

@@ -47,13 +47,11 @@ class Peps {
  public:
   /// `preferences` must be sorted descending by intensity and must outlive
   /// the engine; `enhancer` likewise. All probes run through the enhancer's
-  /// bitmap-backed probe engine. With `options.batching` (the default) the
-  /// preference leaf bitmaps are bulk-prefetched in one executor pass, the
-  /// pair table is one batched upper-triangle pass, and DFS expansion
-  /// batches all candidate extensions of a popped frame into one blocked
-  /// shard pass (optionally multi-threaded via options.num_threads). With
-  /// batching off every probe is a scalar AND+popcount — outputs are
-  /// byte-identical either way (enforced by the differential tests).
+  /// bitmap-backed probe engine: the preference leaf bitmaps are
+  /// bulk-prefetched in one executor pass, the pair table is one batched
+  /// upper-triangle pass, and DFS expansion batches all candidate
+  /// extensions of a popped frame into one blocked shard pass (optionally
+  /// multi-threaded via options.num_threads).
   explicit Peps(const std::vector<PreferenceAtom>* preferences,
                 const QueryEnhancer* enhancer,
                 ProbeOptions options = ProbeOptions{});
@@ -65,9 +63,9 @@ class Peps {
 
   /// \brief Builds the applicable-pair table (one probe per AND pair).
   /// Idempotent; TopK/GenerateOrder call it lazily. A probe budget admits a
-  /// generation-order prefix of the upper triangle (identical batched or
-  /// scalar); a truncated table seeds fewer expansions, and the truncation
-  /// flag records that the run was incomplete.
+  /// generation-order prefix of the upper triangle; a truncated table seeds
+  /// fewer expansions, and the truncation flag records that the run was
+  /// incomplete.
   Status PrecomputePairs(const EnumerationControl& control =
                              EnumerationControl{});
 
@@ -102,7 +100,6 @@ class Peps {
   const QueryEnhancer* enhancer_;
   Combiner combiner_;
   CombinationProber prober_;
-  ProbeOptions options_;
   BatchProber batch_;
   bool pairs_ready_ = false;
   std::vector<PairEntry> pairs_;

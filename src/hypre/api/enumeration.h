@@ -75,6 +75,7 @@ struct EnumerationRequest {
   /// "bias-random": draw seed (runs are deterministic per seed).
   uint64_t seed = 0;
   /// "exhaustive": refuse preference lists longer than this (2^N guard).
+  /// 64 or more preferences are refused whatever this says.
   size_t max_exhaustive_n = 20;
 
   /// Batch-probe knobs, threaded through every algorithm.
@@ -82,8 +83,9 @@ struct EnumerationRequest {
   /// Probe budget: maximum combination probes (pair entries, frontier
   /// members, expansion candidates, bias-random checks, TA sorted-access
   /// rounds) this request may spend. 0 = unlimited. A budgeted run stops
-  /// early with EnumerationResult::truncated set; the records produced up
-  /// to that point are byte-identical whether batching is on or off.
+  /// early with EnumerationResult::truncated set; for exhaustive,
+  /// combine-two, partially-combine-all and bias-random the streamed
+  /// records are a prefix of the unbudgeted run's stream.
   /// The budget meters per-request probe work only: leaf-bitmap
   /// materialization is engine-lifetime shared warm-up (one DB query per
   /// DISTINCT leaf, reused by every later request over the same query
@@ -130,10 +132,10 @@ struct EnumerationResult {
   /// Engine epoch the request probed (see ProbeEngine::epoch()).
   uint64_t epoch = 0;
   /// True when the probe budget ran dry before the algorithm finished.
-  /// The output is deterministic (and identical batched or scalar), but
-  /// incomplete: for the generation-ordered algorithms ("exhaustive",
-  /// "combine-two", "partially-combine-all", "bias-random") it is the
-  /// prefix of the unbounded run's probe sequence; for "peps" and "ta" —
+  /// The output is deterministic but incomplete: for the
+  /// generation-ordered algorithms ("exhaustive", "combine-two",
+  /// "partially-combine-all", "bias-random") it is the prefix of the
+  /// unbounded run's probe sequence; for "peps" and "ta" —
   /// which re-rank intermediate state (pair table, graded lists) before
   /// emitting — it is a subset that may order differently than the
   /// unbounded run, so re-run with a larger budget rather than paginating.

@@ -71,26 +71,14 @@ void AdmissionScheduler::SkipAbandonedLocked() {
   while (abandoned_.erase(admit_cursor_) != 0) ++admit_cursor_;
 }
 
-AdmissionScheduler::Ticket AdmissionScheduler::Admit(size_t probe_budget) {
-  // Unbounded wait cannot fail; the Result only carries the Ticket here.
-  return AdmitInternal(probe_budget, /*bounded=*/false, std::nullopt)
-      .TakeValue();
-}
-
 Result<AdmissionScheduler::Ticket> AdmissionScheduler::TryAdmit(
-    size_t probe_budget,
-    std::optional<std::chrono::steady_clock::time_point> deadline) {
-  return AdmitInternal(probe_budget, /*bounded=*/true, deadline);
-}
-
-Result<AdmissionScheduler::Ticket> AdmissionScheduler::AdmitInternal(
-    size_t cost, bool bounded,
+    size_t cost,
     std::optional<std::chrono::steady_clock::time_point> deadline) {
 #if HYPRE_TELEMETRY_ENABLED
   const auto enqueued = std::chrono::steady_clock::now();
 #endif
   std::unique_lock<std::mutex> lock(mu_);
-  if (bounded && (next_ticket_ != admit_cursor_ || !HasCapacityLocked(cost))) {
+  if (next_ticket_ != admit_cursor_ || !HasCapacityLocked(cost)) {
     // The request would have to queue. Shed it if the queue is already at
     // its bound, or if its deadline has no waiting room left at all.
     if (options_.max_queue_depth != 0 &&

@@ -15,7 +15,7 @@
 // A request whose budget alone exceeds the cap is admitted when it is the
 // only one in flight (otherwise it would starve forever); unbudgeted
 // requests (probe_budget == 0) count only against the concurrency cap.
-// Both caps default to 0 = unlimited, which reduces Admit() to one
+// Both caps default to 0 = unlimited, which reduces TryAdmit() to one
 // uncontended mutex round-trip — cheap enough to sit on every request.
 //
 // Overload shedding (the HTTP front end's contract): a saturated scheduler
@@ -28,10 +28,11 @@
 //     abandons its place in line and is rejected.
 //
 // Both rejections are Status::Unavailable (typed, so the server maps them
-// to 429 + Retry-After). The legacy Admit() keeps its wait-forever,
-// never-rejected contract for embedded callers; the serving path goes
-// through TryAdmit. Abandoned tickets are skipped when the FIFO cursor
-// reaches them, so a timed-out head-of-line waiter cannot stall the queue.
+// to 429 + Retry-After). TryAdmit is the only admission entry point;
+// without a deadline (std::nullopt) a request waits as long as it takes,
+// and only the queue-depth bound can reject it. Abandoned tickets are
+// skipped when the FIFO cursor reaches them, so a timed-out head-of-line
+// waiter cannot stall the queue.
 //
 // Telemetry: queue depth and in-flight gauges, admitted- and
 // rejected-request counters, and a wait-time histogram
@@ -58,9 +59,9 @@ class AdmissionScheduler {
     /// Cap on the summed probe budgets of in-flight requests; 0 =
     /// unlimited. An oversized request is admitted when alone.
     size_t max_inflight_probe_budget = 0;
-    /// Cap on requests WAITING for admission; 0 = unlimited. Enforced by
-    /// TryAdmit only: a request that would have to queue behind this many
-    /// waiters is rejected with Status::Unavailable instead of blocking.
+    /// Cap on requests WAITING for admission; 0 = unlimited. A request that
+    /// would have to queue behind this many waiters is rejected with
+    /// Status::Unavailable instead of blocking.
     size_t max_queue_depth = 0;
   };
 
@@ -112,17 +113,12 @@ class AdmissionScheduler {
   AdmissionScheduler(const AdmissionScheduler&) = delete;
   AdmissionScheduler& operator=(const AdmissionScheduler&) = delete;
 
-  /// \brief Blocks until this request is admitted (strict FIFO by arrival,
+  /// \brief Waits until this request is admitted (strict FIFO by arrival,
   /// then capacity), reserving one concurrency slot and `probe_budget`
-  /// units of in-flight probe spend. Returns the RAII reservation. Never
-  /// rejected: max_queue_depth does not apply to this entry point.
-  Ticket Admit(size_t probe_budget);
-
-  /// \brief Deadline-aware admission for the serving path: rejects with
-  /// Status::Unavailable when the request would have to queue behind
-  /// max_queue_depth waiters, or when it is still queued at `deadline`
-  /// (std::nullopt = wait forever). FIFO order and the capacity caps are
-  /// identical to Admit().
+  /// units of in-flight probe spend, and returns the RAII reservation.
+  /// Rejects with Status::Unavailable when the request would have to queue
+  /// behind max_queue_depth waiters, or when it is still queued at
+  /// `deadline` (std::nullopt = wait forever).
   Result<Ticket> TryAdmit(
       size_t probe_budget,
       std::optional<std::chrono::steady_clock::time_point> deadline =
@@ -140,10 +136,6 @@ class AdmissionScheduler {
   /// True when `cost` fits under the current caps; caller holds mu_.
   bool HasCapacityLocked(size_t cost) const;
   void ReleaseLocked(size_t cost);
-  /// Shared FIFO wait loop. `bounded` enables the queue-depth bound.
-  Result<Ticket> AdmitInternal(
-      size_t cost, bool bounded,
-      std::optional<std::chrono::steady_clock::time_point> deadline);
   /// Advances the cursor past tickets whose waiters gave up; caller holds
   /// mu_. Without this, a timed-out head waiter would stall FIFO forever.
   void SkipAbandonedLocked();

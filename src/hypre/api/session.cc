@@ -513,7 +513,7 @@ Status Session::EnumerateInternal(const EnumerationRequest& request,
   // Shared leaf prefetch: load every leaf the request's preferences reach
   // in ONE executor pass. The engine's leaf cache persists across requests,
   // so later requests over the same query spec dedup to a no-op here.
-  if (request.probe_options.batching && !atoms.empty()) {
+  if (!atoms.empty()) {
     std::vector<reldb::ExprPtr> exprs;
     exprs.reserve(atoms.size());
     for (const core::PreferenceAtom& atom : atoms) exprs.push_back(atom.expr);

@@ -1,7 +1,6 @@
 #include "hypre/batch_prober.h"
 
 #include <algorithm>
-#include <bit>
 #include <thread>
 
 #include "hypre/parallel/task_pool.h"
@@ -16,8 +15,7 @@ namespace {
 
 /// Shards a kernel pass walks over `num_words` words — the batch-shape unit
 /// reported into ProbeStats. Stats stay tile-layout-independent: the same
-/// batch reports the same shard count whether it ran inline, split, or
-/// work-stolen.
+/// batch reports the same shard count whether it ran inline or work-stolen.
 size_t NumShards(const ProbeOptions& options, size_t num_words) {
   size_t shard_words = std::max<size_t>(1, options.shard_words);
   return (num_words + shard_words - 1) / shard_words;
@@ -53,8 +51,8 @@ Result<BatchProber::CompiledFrontier> BatchProber::Compile(
   CompiledFrontier compiled;
   // With tombstoned keys in the engine, the live mask joins every non-empty
   // combination as one more single-member AND group, so the shard kernels
-  // mask deleted keys out with zero extra code paths — byte-identical to
-  // the scalar prober, which ANDs the same mask.
+  // mask deleted keys out with zero extra code paths — the same mask
+  // CombinationProber::BitsInto ANDs.
   const uint64_t* mask_words = nullptr;
   if (prober_->engine().has_tombstones()) {
     HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* live,
@@ -102,8 +100,7 @@ size_t BatchProber::PlanSlots(size_t num_words, size_t num_items) const {
   size_t num_shards = (num_words + shard_words - 1) / shard_words;
   size_t item_tiles = (num_items + kItemTile - 1) / kItemTile;
   // Clamp so every slot can start with at least one tile: no worker range
-  // is ever empty, whatever the thread/shard ratio (the num_threads >
-  // num_shards regression of the old ceil-division split).
+  // is ever empty, whatever the thread/shard ratio.
   size_t max_tiles = num_shards * std::max<size_t>(1, item_tiles);
   return std::min(threads, std::max<size_t>(1, max_tiles));
 }
@@ -129,9 +126,7 @@ BatchProber::TileGrid BatchProber::MakeGrid(size_t num_words,
 }
 
 parallel::TaskPool* BatchProber::SchedulePool(size_t slots) const {
-  if (slots <= 1 || options_.scheduler != ProbeScheduler::kWorkStealing) {
-    return nullptr;
-  }
+  if (slots <= 1) return nullptr;
   return options_.pool != nullptr ? options_.pool
                                   : parallel::TaskPool::Shared();
 }
@@ -156,26 +151,8 @@ void BatchProber::ForEachTile(const TileGrid& grid, size_t slots,
     return;
   }
 
-  if (options_.scheduler == ProbeScheduler::kStaticSplit) {
-    // Balanced contiguous split (PartitionRange: sizes differ by at most
-    // one, no empty ranges) on per-batch threads; the caller runs part 0.
-    size_t parts = std::min(slots, num_tiles);
-    std::vector<std::thread> workers;
-    workers.reserve(parts - 1);
-    for (size_t p = 1; p < parts; ++p) {
-      parallel::Range r = parallel::PartitionRange(num_tiles, parts, p);
-      workers.emplace_back([&run_tile, r, p] {
-        for (size_t t = r.begin; t < r.end; ++t) run_tile(t, p);
-      });
-    }
-    parallel::Range r0 = parallel::PartitionRange(num_tiles, parts, 0);
-    for (size_t t = r0.begin; t < r0.end; ++t) run_tile(t, 0);
-    for (auto& worker : workers) worker.join();
-    return;
-  }
-
   parallel::TaskPool* pool = SchedulePool(slots);
-  pool->ParallelFor(num_tiles, options_.grain, slots,
+  pool->ParallelFor(num_tiles, /*grain=*/0, slots,
                     [&run_tile](size_t begin, size_t end, size_t slot) {
                       for (size_t t = begin; t < end; ++t) run_tile(t, slot);
                     });
@@ -187,7 +164,7 @@ Result<std::vector<size_t>> BatchProber::CountBatch(
   std::vector<size_t> counts(frontier.size(), 0);
   if (frontier.empty()) return counts;
   HYPRE_ASSIGN_OR_RETURN(CompiledFrontier plan, Compile(frontier));
-  const parallel::WordKernels& kn = parallel::SelectWordKernels(options_.simd);
+  const parallel::WordKernels& kn = parallel::ActiveWordKernels();
 
   size_t slots = PlanSlots(plan.num_words, frontier.size());
   TileGrid grid = MakeGrid(plan.num_words, frontier.size(), slots);
@@ -222,7 +199,7 @@ Result<std::vector<size_t>> BatchProber::CountBatch(
     size_t len = w1 - w0;
     for (size_t i = i0; i < i1; ++i) {
       const auto& item = plan.items[i];
-      // Empty combination: matches the scalar path's empty bitmap (count 0).
+      // Empty combination: BitsInto yields an empty bitmap (count 0).
       if (item.begin == item.end) continue;
       // acc_src tracks the current accumulated words; it stays a borrowed
       // member pointer until a second group forces a materialized AND.
@@ -265,18 +242,6 @@ Result<std::vector<size_t>> BatchProber::CountBatch(
   return counts;
 }
 
-Result<std::vector<size_t>> BatchProber::CountMaybeBatched(
-    const std::vector<Combination>& frontier) const {
-  if (options_.batching) return CountBatch(frontier);
-  std::vector<size_t> counts;
-  counts.reserve(frontier.size());
-  for (const Combination& combination : frontier) {
-    HYPRE_ASSIGN_OR_RETURN(size_t count, prober_->Count(combination));
-    counts.push_back(count);
-  }
-  return counts;
-}
-
 Result<std::vector<size_t>> BatchProber::CountExtensions(
     const KeyBitmap& base, const std::vector<size_t>& candidates) const {
   telemetry::TraceSpan span("prober", "count_extensions");
@@ -296,7 +261,7 @@ Result<std::vector<size_t>> BatchProber::CountExtensions(
                            prober_->engine().UniverseBitmap());
     mask = live->word_data();
   }
-  const parallel::WordKernels& kn = parallel::SelectWordKernels(options_.simd);
+  const parallel::WordKernels& kn = parallel::ActiveWordKernels();
 
   size_t slots = PlanSlots(num_words, candidates.size());
   TileGrid grid = MakeGrid(num_words, candidates.size(), slots);
@@ -346,7 +311,7 @@ Result<std::vector<size_t>> BatchProber::CountPairs(
                            prober_->engine().UniverseBitmap());
     mask = live->word_data();
   }
-  const parallel::WordKernels& kn = parallel::SelectWordKernels(options_.simd);
+  const parallel::WordKernels& kn = parallel::ActiveWordKernels();
 
   size_t slots = PlanSlots(num_words, pairs.size());
   TileGrid grid = MakeGrid(num_words, pairs.size(), slots);
@@ -383,18 +348,18 @@ Status BatchProber::EvalBatch(const std::vector<Combination>& frontier,
   HYPRE_ASSIGN_OR_RETURN(CompiledFrontier plan, Compile(frontier));
   HYPRE_ASSIGN_OR_RETURN(size_t universe_bits,
                          prober_->engine().UniverseSize());
-  const parallel::WordKernels& kn = parallel::SelectWordKernels(options_.simd);
+  const parallel::WordKernels& kn = parallel::ActiveWordKernels();
 
   size_t slots = PlanSlots(plan.num_words, frontier.size());
   TileGrid grid = MakeGrid(plan.num_words, frontier.size(), slots);
-  // On work-stealing runs the output bitmaps are zeroed in parallel on the
+  // On parallel runs the output bitmaps are zeroed in parallel on the
   // pool (first-touch page placement on the workers that fill them).
   parallel::TaskPool* touch_pool = SchedulePool(slots);
   out->resize(frontier.size());
   std::vector<uint64_t*> out_words(frontier.size(), nullptr);
   for (size_t i = 0; i < frontier.size(); ++i) {
-    // The scalar path leaves an empty combination as a default (0-bit)
-    // bitmap; stay byte-identical.
+    // An empty combination stays a default (0-bit) bitmap, exactly as
+    // CombinationProber::BitsInto leaves it.
     if (plan.items[i].begin == plan.items[i].end) continue;
     (*out)[i] = touch_pool != nullptr
                     ? KeyBitmap(universe_bits, touch_pool, slots)

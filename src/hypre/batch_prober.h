@@ -1,36 +1,30 @@
-// Batched, sharded combination probing.
+// Batched, sharded combination probing — the only probe path the
+// combination algorithms take.
 //
-// The scalar CombinationProber answers one combination probe at a time, so a
-// frontier of F combinations re-streams every referenced leaf bitmap F
-// times. BatchProber evaluates the whole frontier in one BLOCKED pass
-// instead: the universe's bitmap words are partitioned into fixed-width
-// shards, and for each shard every pending combination's OR-within-group /
-// AND-across-groups words and popcounts are computed while that shard's
-// leaf words are cache-resident. The inner word loops route through the
-// parallel::WordKernels table (AVX2 when compiled in, scalar fallback
-// otherwise; ProbeOptions::simd forces the scalar table for differentials).
+// Probing a frontier of F combinations one at a time would re-stream every
+// referenced leaf bitmap F times. BatchProber evaluates the whole frontier
+// in one BLOCKED pass instead: the universe's bitmap words are partitioned
+// into fixed-width shards, and for each shard every pending combination's
+// OR-within-group / AND-across-groups words and popcounts are computed while
+// that shard's leaf words are cache-resident. The inner word loops route
+// through parallel::ActiveWordKernels() (AVX2 when the build compiles it
+// in, the portable scalar kernels under -DHYPRE_SIMD=OFF).
 //
 // Parallelism: the blocked pass is cut into shard × frontier-block TILES
-// (one tile = one shard's words × a block of combinations), and the tiles
-// are scheduled one of three ways (ProbeOptions::scheduler):
-//
-//  * inline           — num_threads <= 1 (after auto-detect): the calling
-//                       thread walks all tiles; no scratch allocation.
-//  * kStaticSplit     — balanced contiguous tile ranges on spawned
-//                       std::threads (the PR 2 shape, kept for comparison
-//                       benches; the ceil-division tail imbalance is fixed
-//                       by parallel::PartitionRange).
-//  * kWorkStealing    — the default: tiles run on a persistent
-//                       parallel::TaskPool with per-slot Chase-Lev deques
-//                       and lazy binary splitting, so skewed tiles (mixed
-//                       combination sizes, warm/cold leaves, tail shards)
-//                       rebalance automatically and no per-batch thread
-//                       spawn is paid.
+// (one tile = one shard's words × a block of combinations). With one
+// effective thread the calling thread walks every tile inline with no
+// scratch allocation; otherwise the tiles run on a persistent
+// parallel::TaskPool with per-slot Chase-Lev deques and lazy binary
+// splitting, so skewed tiles (mixed combination sizes, warm/cold leaves,
+// tail shards) rebalance automatically and no per-batch thread spawn is
+// paid.
 //
 // Per-combination counts are sums of per-tile popcounts accumulated into
 // per-slot buffers reduced in slot order, and bitmap outputs write disjoint
-// word ranges — so results are exact and byte-identical to the scalar path
-// for every scheduler, thread count, and steal order, by contract.
+// word ranges — so results are exact and byte-identical for every shard
+// width, thread count, and steal order. The tests hold the batch layer to
+// an independent oracle: CombinationProber::BitsInto followed by
+// KeyBitmap::Count, per combination (tests/probe_oracle.h).
 //
 // All probes are answered from the per-preference bitmaps the shared
 // CombinationProber caches; the only DB work on this path is the bulk leaf
@@ -60,15 +54,6 @@ class TaskPool;
 
 namespace core {
 
-/// \brief How BatchProber schedules shard×frontier tiles across threads.
-enum class ProbeScheduler {
-  /// Balanced contiguous tile ranges on per-batch std::threads (the legacy
-  /// static split; kept for regression tests and scaling benches).
-  kStaticSplit,
-  /// Work-stealing on a persistent parallel::TaskPool (the default).
-  kWorkStealing,
-};
-
 /// \brief Knobs for the batch probe layer, threaded through the combination
 /// algorithms.
 struct ProbeOptions {
@@ -84,30 +69,15 @@ struct ProbeOptions {
   /// slot starts idle (in particular never more threads than shards when
   /// the frontier fits one block). Values > 1 are likewise clamped.
   size_t num_threads = 1;
-  /// When false, algorithms that accept ProbeOptions fall back to scalar
-  /// CombinationProber probing — the differential-testing switch.
-  bool batching = true;
-  /// Tile scheduler; see ProbeScheduler. Only consulted when the effective
-  /// thread count is > 1.
-  ProbeScheduler scheduler = ProbeScheduler::kWorkStealing;
   /// Work-stealing pool to run on. nullptr = the process-wide
   /// parallel::TaskPool::Shared(). api::Session injects its own session
   /// pool here. Not owned; must outlive the batch prober's calls.
   parallel::TaskPool* pool = nullptr;
-  /// Minimum tiles per stolen chunk for kWorkStealing (TaskPool grain).
-  /// 0 = auto (tiles / (8 * slots), min 1).
-  size_t grain = 0;
-  /// When false, the inner word loops use the portable scalar kernels even
-  /// in a SIMD build — the SIMD-differential switch. Results are
-  /// byte-identical either way.
-  bool simd = true;
 };
 
 /// \brief Evaluates frontiers of combinations in blocked, optionally
 /// multi-threaded passes over the shared CombinationProber's cached
-/// per-preference bitmaps. `prober` must outlive the batch prober. Results
-/// are byte-identical to probing each combination through the scalar
-/// CombinationProber.
+/// per-preference bitmaps. `prober` must outlive the batch prober.
 class BatchProber {
  public:
   explicit BatchProber(const CombinationProber* prober,
@@ -115,14 +85,9 @@ class BatchProber {
       : prober_(prober), options_(options) {}
 
   /// \brief Matching-key counts for every combination in `frontier`, in
-  /// order; counts[i] == CombinationProber::Count(frontier[i]).
+  /// order; counts[i] is the popcount of CombinationProber::BitsInto on
+  /// frontier[i] (0 for the empty combination).
   Result<std::vector<size_t>> CountBatch(
-      const std::vector<Combination>& frontier) const;
-
-  /// \brief CountBatch when options().batching, scalar
-  /// CombinationProber::Count per combination otherwise — the shared
-  /// dispatch the generation-based algorithms use around their frontiers.
-  Result<std::vector<size_t>> CountMaybeBatched(
       const std::vector<Combination>& frontier) const;
 
   /// \brief Counts of `base AND preference[candidates[k]]` for each
@@ -183,12 +148,12 @@ class BatchProber {
   /// can start with at least one tile.
   size_t PlanSlots(size_t num_words, size_t num_items) const;
   TileGrid MakeGrid(size_t num_words, size_t num_items, size_t slots) const;
-  /// The pool a work-stealing run uses (options_.pool or the shared pool);
-  /// null when the run is inline/static.
+  /// The pool a parallel run uses (options_.pool or the shared pool); null
+  /// when the run is inline.
   parallel::TaskPool* SchedulePool(size_t slots) const;
   /// Runs `kernel(word_begin, word_end, item_begin, item_end, slot)` over
-  /// every tile of `grid` on the configured scheduler. Slot ids are dense
-  /// and < slots; each tile runs exactly once.
+  /// every tile of `grid`, inline or on the pool. Slot ids are dense and
+  /// < slots; each tile runs exactly once.
   template <typename Kernel>
   void ForEachTile(const TileGrid& grid, size_t slots, Kernel&& kernel) const;
 

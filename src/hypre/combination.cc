@@ -189,39 +189,5 @@ Status CombinationProber::BitsInto(const Combination& combination,
   return Status::OK();
 }
 
-Result<size_t> CombinationProber::Count(
-    const Combination& combination) const {
-  const auto& groups = combination.groups;
-  bool pure_and = !groups.empty();
-  for (const auto& group : groups) {
-    if (group.members.size() != 1) {
-      pure_and = false;
-      break;
-    }
-  }
-  if (pure_and) {
-    // AND chain of any length: fold the popcount in one fused word pass over
-    // the cached per-preference bitmaps, no scratch materialization. The
-    // live mask joins the chain as one more operand when keys are
-    // tombstoned.
-    and_operands_.clear();
-    for (const auto& group : groups) {
-      HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* bits,
-                             PreferenceBits(group.members[0]));
-      and_operands_.push_back(bits);
-    }
-    if (engine_->has_tombstones()) {
-      HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* live, engine_->UniverseBitmap());
-      and_operands_.push_back(live);
-    }
-    engine_->NoteProbesAnswered(1);
-    return KeyBitmap::AndCountMulti(and_operands_.data(),
-                                    and_operands_.size());
-  }
-  HYPRE_RETURN_NOT_OK(BitsInto(combination, &count_scratch_));
-  engine_->NoteProbesAnswered(1);
-  return count_scratch_.Count();
-}
-
 }  // namespace core
 }  // namespace hypre

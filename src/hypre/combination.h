@@ -81,10 +81,11 @@ class Combiner {
 
 /// \brief Bitmap-backed prober over a fixed preference list: materializes
 /// each preference's key bitmap (lazily, once per engine epoch) through the
-/// probe engine, then answers combination probes with word-wise OR within
+/// probe engine, and evaluates single combinations with word-wise OR within
 /// groups and AND across groups — the same group-level semantics as
 /// engine-evaluating BuildExpr(), without rebuilding and re-walking an
-/// expression tree per probe.
+/// expression tree. Combination COUNTS go through BatchProber (see
+/// batch_prober.h), which reads the per-preference bitmaps cached here.
 ///
 /// Epoch consistency: the prober revalidates its cached per-preference
 /// bitmaps against ProbeEngine::epoch() on every access, so after a
@@ -109,17 +110,10 @@ class CombinationProber {
   Result<const KeyBitmap*> PreferenceBits(size_t index) const;
 
   /// \brief Evaluates the combination (AND of OR-groups) into `out`,
-  /// reusing its storage —
-  /// the per-probe path for hot loops (PEPS expansion, Top-K walks) that
-  /// would otherwise allocate a bitmap per probe.
+  /// reusing its storage — the per-combination path for hot loops (PEPS
+  /// expansion bases, Top-K walks) that would otherwise allocate a bitmap
+  /// per probe. The empty combination yields a default (0-bit) bitmap.
   Status BitsInto(const Combination& combination, KeyBitmap* out) const;
-
-  /// \brief Number of matching keys. Pure-AND combinations (every group a
-  /// single member, any chain length) short-cut to one fused multi-operand
-  /// AND+popcount pass without materializing a scratch bitmap; only mixed
-  /// AND/OR shapes fall back to BitsInto. Each call counts as one answered
-  /// probe in the engine's statistics.
-  Result<size_t> Count(const Combination& combination) const;
 
   const ProbeEngine& engine() const { return *engine_; }
 
@@ -130,11 +124,8 @@ class CombinationProber {
   // dropped wholesale when the engine epoch moves past cached_epoch_.
   mutable std::vector<std::unique_ptr<KeyBitmap>> member_bits_;
   mutable uint64_t cached_epoch_ = 0;
-  // Reused accumulators for BitsInto (OR-group) and Count.
+  // Reused OR-group accumulator for BitsInto.
   mutable KeyBitmap group_scratch_;
-  mutable KeyBitmap count_scratch_;
-  // Reused operand list for the pure-AND-chain Count shortcut.
-  mutable std::vector<const KeyBitmap*> and_operands_;
 };
 
 }  // namespace core

@@ -95,26 +95,6 @@ size_t KeyBitmap::AndCount(const KeyBitmap& a, const KeyBitmap& b) {
                                                  a.words_.size());
 }
 
-size_t KeyBitmap::AndCountMulti(const KeyBitmap* const* operands, size_t n) {
-  if (n == 0) return 0;
-  if (n == 1) return operands[0]->Count();
-#ifndef NDEBUG
-  for (size_t k = 1; k < n; ++k) {
-    assert(operands[k]->num_bits_ == operands[0]->num_bits_);
-  }
-#endif
-  const uint64_t* ops[8];
-  size_t num_words = operands[0]->words_.size();
-  if (n <= 8) {
-    for (size_t k = 0; k < n; ++k) ops[k] = operands[k]->words_.data();
-    return parallel::ActiveWordKernels().and_count_multi(ops, n, num_words);
-  }
-  std::vector<const uint64_t*> big(n);
-  for (size_t k = 0; k < n; ++k) big[k] = operands[k]->words_.data();
-  return parallel::ActiveWordKernels().and_count_multi(big.data(), n,
-                                                       num_words);
-}
-
 bool KeyBitmap::Intersects(const KeyBitmap& a, const KeyBitmap& b) {
   assert(a.num_bits_ == b.num_bits_);
   for (size_t w = 0; w < a.words_.size(); ++w) {

@@ -8,9 +8,9 @@
 //
 // Storage is 64-byte aligned (cache-line / AVX2 vector) and the streaming
 // word passes route through parallel::ActiveWordKernels(), so Count /
-// AndWith / AndCount / AndCountMulti pick up the SIMD kernels when the
-// build compiles them in. Semantics are exact — the scalar and SIMD paths
-// produce byte-identical words and identical counts.
+// AndWith / AndCount pick up the SIMD kernels when the build compiles them
+// in. Semantics are exact — the scalar and SIMD kernels produce
+// byte-identical words and identical counts.
 #pragma once
 
 #include <bit>
@@ -87,10 +87,6 @@ class KeyBitmap {
   /// \brief popcount(a & b) without materializing the intersection — the
   /// inner loop of the PEPS pair table and expansion probes.
   static size_t AndCount(const KeyBitmap& a, const KeyBitmap& b);
-  /// \brief popcount(operands[0] & ... & operands[n-1]) in one fused word
-  /// pass, without materializing any intermediate — the pure-AND-chain probe
-  /// shortcut. All operands must share num_bits(); n == 0 returns 0.
-  static size_t AndCountMulti(const KeyBitmap* const* operands, size_t n);
   /// \brief True iff (a & b) has at least one set bit.
   static bool Intersects(const KeyBitmap& a, const KeyBitmap& b);
 

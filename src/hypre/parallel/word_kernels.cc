@@ -53,21 +53,10 @@ size_t ScalarAnd3Count(const uint64_t* a, const uint64_t* b,
   return count;
 }
 
-size_t ScalarAndCountMulti(const uint64_t* const* ops, size_t k, size_t n) {
-  if (k == 0) return 0;
-  size_t count = 0;
-  for (size_t i = 0; i < n; ++i) {
-    uint64_t acc = ops[0][i];
-    for (size_t j = 1; j < k && acc != 0; ++j) acc &= ops[j][i];
-    count += static_cast<size_t>(std::popcount(acc));
-  }
-  return count;
-}
-
 const WordKernels kScalarKernels = {
-    "scalar",       ScalarCopy,     ScalarOrInto,   ScalarAndInto,
-    ScalarAndNotInto, ScalarAndTo,  ScalarPopcount, ScalarAndCount,
-    ScalarAnd3Count,  ScalarAndCountMulti,
+    "scalar",         ScalarCopy,  ScalarOrInto,   ScalarAndInto,
+    ScalarAndNotInto, ScalarAndTo, ScalarPopcount, ScalarAndCount,
+    ScalarAnd3Count,
 };
 
 }  // namespace

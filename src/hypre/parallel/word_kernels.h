@@ -16,9 +16,10 @@
 // Dispatch is COMPILE-TIME: ActiveWordKernels() returns the avx2 table when
 // it was compiled in, the scalar table otherwise — no CPUID probing, so a
 // HYPRE_SIMD build requires an AVX2 machine (build with -DHYPRE_SIMD=OFF
-// for the portable fallback). Both tables stay reachable in every build:
-// differential tests and ProbeOptions::simd=false route through
-// ScalarWordKernels() to assert byte-identical results.
+// for the portable kernels). The probe path only ever calls
+// ActiveWordKernels(); ScalarWordKernels() stays reachable in every build
+// so the kernel-level differential tests and benches can compare the two
+// tables directly.
 //
 // Contract shared by both implementations: `n` is a word count, ranges may
 // be unaligned (the shard grid cuts at arbitrary word offsets), and
@@ -54,8 +55,6 @@ struct WordKernels {
   /// sum(popcount(a[i] & b[i] & c[i])) — the live-mask variant of and_count.
   size_t (*and3_count)(const uint64_t* a, const uint64_t* b,
                        const uint64_t* c, size_t n);
-  /// sum(popcount(ops[0][i] & ... & ops[k-1][i])); k >= 1.
-  size_t (*and_count_multi)(const uint64_t* const* ops, size_t k, size_t n);
 };
 
 /// \brief The portable implementation (always available).
@@ -68,12 +67,6 @@ const WordKernels& ActiveWordKernels();
 /// \brief True when the avx2 table was compiled in (HYPRE_SIMD build on
 /// x86-64).
 bool SimdKernelsCompiled();
-
-/// \brief ProbeOptions::simd routing: true -> ActiveWordKernels() (avx2
-/// when available), false -> the scalar fallback.
-inline const WordKernels& SelectWordKernels(bool simd) {
-  return simd ? ActiveWordKernels() : ScalarWordKernels();
-}
 
 /// \brief Implementation hook for the AVX2 translation unit; null when not
 /// compiled in. Use ActiveWordKernels() instead.

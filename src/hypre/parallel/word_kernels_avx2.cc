@@ -141,33 +141,10 @@ size_t Avx2And3Count(const uint64_t* a, const uint64_t* b, const uint64_t* c,
   return count;
 }
 
-size_t Avx2AndCountMulti(const uint64_t* const* ops, size_t k, size_t n) {
-  if (k == 0) return 0;
-  __m256i acc = _mm256_setzero_si256();
-  const __m256i zero = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ops[0] + i));
-    for (size_t j = 1; j < k; ++j) {
-      v = _mm256_and_si256(
-          v, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ops[j] + i)));
-    }
-    acc = _mm256_add_epi64(acc, _mm256_sad_epu8(PopcountBytes(v), zero));
-  }
-  size_t count = HorizontalSum(acc);
-  for (; i < n; ++i) {
-    uint64_t w = ops[0][i];
-    for (size_t j = 1; j < k && w != 0; ++j) w &= ops[j][i];
-    count += static_cast<size_t>(std::popcount(w));
-  }
-  return count;
-}
-
 const WordKernels kAvx2Kernels = {
-    "avx2",         Avx2Copy,     Avx2OrInto,   Avx2AndInto,
-    Avx2AndNotInto, Avx2AndTo,    Avx2Popcount, Avx2AndCount,
-    Avx2And3Count,  Avx2AndCountMulti,
+    "avx2",         Avx2Copy,  Avx2OrInto,   Avx2AndInto,
+    Avx2AndNotInto, Avx2AndTo, Avx2Popcount, Avx2AndCount,
+    Avx2And3Count,
 };
 
 }  // namespace

@@ -57,7 +57,7 @@ struct ProbeStats {
   /// canonical leaf per epoch rebuild (see the contract in ProbeEngine).
   size_t num_leaf_queries = 0;
   /// Probes answered from cached state with no DB work (memo hits plus
-  /// every combination probe answered by the scalar or batch prober).
+  /// every combination probe answered by the batch prober).
   size_t num_cache_hits = 0;
   /// Batch frontiers evaluated by BatchProber (CountBatch, CountExtensions,
   /// CountPairs, EvalBatch calls that reached a kernel).
@@ -392,16 +392,14 @@ class ProbeEngine {
   //    counted, and neither are the delta passes of an incremental
   //    Refresh(); an epoch-compaction rebuild clears the leaf cache, so the
   //    "one query per distinct leaf" accounting restarts per epoch rebuild.
-  //    This holds for scalar, batched, and prefetched probing alike.
+  //    This holds for on-demand and prefetched leaves alike.
   //  * num_cache_hits counts probes answered from cached state with no DB
   //    work: CountMatching memo hits, plus every combination probe answered
-  //    by CombinationProber::Count or a BatchProber batch (one per
-  //    combination/candidate/pair in the frontier, consumed by the caller
-  //    or not). Raw KeyBitmap algebra done by callers outside the probe
-  //    layer is never counted, so the ABSOLUTE hit count of an algorithm
-  //    may differ between its batched and scalar modes (e.g. PEPS answers
-  //    its scalar pair table through raw AndCount) — the per-call
-  //    accounting, not cross-mode equality, is the contract.
+  //    by a BatchProber batch (one per combination/candidate/pair in the
+  //    frontier, consumed by the caller or not), plus what callers report
+  //    through NoteProbesAnswered (bias-random's chain-extension checks).
+  //    Other raw KeyBitmap algebra done outside the probe layer (BitsInto,
+  //    Top-K walks) is never counted.
 
   /// \brief Number of leaf-predicate probes executed against the database
   /// (the one-time universe interning scan is not counted).

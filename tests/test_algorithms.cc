@@ -10,6 +10,7 @@
 
 #include "common/string_util.h"
 #include "hypre/algorithms/combine_two.h"
+#include "hypre/algorithms/exhaustive.h"
 #include "hypre/api/session.h"
 #include "hypre/intensity.h"
 #include "test_fixtures.h"
@@ -230,6 +231,23 @@ TEST_F(AlgorithmsTest, ExhaustiveGuardsAgainstBlowup) {
     many.push_back(MakeAtom(StringFormat("dblp_author.aid=%d", i), 0.1).value());
   }
   EXPECT_FALSE(Run("exhaustive", CombineSemantics::kAnd, &many).ok());
+}
+
+TEST_F(AlgorithmsTest, ExhaustiveRefusesSixtyFourOrMorePreferences) {
+  // Subsets are enumerated as a 64-bit mask, so a raised max_n must not
+  // let 64+ preferences through (the mask shift would be undefined).
+  QueryEnhancer enhancer(&db_, MiniBaseQuery(), "dblp.pid");
+  for (int n : {64, 65}) {
+    std::vector<PreferenceAtom> many;
+    for (int i = 0; i < n; ++i) {
+      many.push_back(
+          MakeAtom(StringFormat("dblp.year=%d", 1900 + i), 0.5).value());
+    }
+    auto result = ExhaustiveAndCombinations(many, enhancer, /*max_n=*/100);
+    ASSERT_FALSE(result.ok()) << "n=" << n;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << result.status().ToString();
+  }
 }
 
 }  // namespace

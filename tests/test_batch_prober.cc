@@ -1,15 +1,17 @@
 // BatchProber tests: randomized differential sweep of the batched, sharded
-// probe kernels against the scalar CombinationProber across shard widths
-// (1 word, 4 words, universe-in-one-shard), thread counts (1, 2, 4, 8,
-// auto), schedulers (static split vs work-stealing on a real 8-slot pool),
-// and SIMD on/off; degenerate frontiers; the probe-statistics contract
-// under prefetch and batching; and byte-identical algorithm outputs with
-// batching on vs off. Every configuration must be BYTE-identical to the
-// scalar path — the batch layer's core contract.
+// probe kernels against the per-combination oracle (probe_oracle.h:
+// BitsInto, then Count) across shard widths (1 word, 4 words,
+// universe-in-one-shard) and thread counts (1, 4, 8 on a real work-stealing
+// pool, auto); degenerate frontiers; the probe-statistics contract under
+// prefetch; and every combination algorithm's records checked against the
+// same oracle, identical across probe configurations. Which word kernels
+// run is a build choice (-DHYPRE_SIMD=OFF selects the portable ones); the
+// suite passes on either.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/random.h"
@@ -20,6 +22,7 @@
 #include "hypre/algorithms/partially_combine_all.h"
 #include "hypre/algorithms/peps.h"
 #include "hypre/batch_prober.h"
+#include "probe_oracle.h"
 #include "test_fixtures.h"
 
 namespace hypre {
@@ -43,41 +46,25 @@ parallel::TaskPool* TestPool() {
   return &pool;
 }
 
-// The shard-width / thread-count / scheduler / SIMD matrix every
-// differential sweep runs: one-word shards (maximum shard count), small
-// shards, and a shard wide enough to hold any test universe in one piece;
-// serial, 4-way (legacy matrix), and 8-way on both schedulers; SIMD kernels
-// on and off; plus num_threads = 0 (auto-detect).
+// The shard-width / thread-count matrix every differential sweep runs:
+// one-word shards (maximum shard count), small shards, and a shard wide
+// enough to hold any test universe in one piece; serial, 4-way on the
+// shared pool, 8-way on the explicit 8-slot pool, and num_threads = 0
+// (auto-detect).
 std::vector<ProbeOptions> OptionMatrix() {
   std::vector<ProbeOptions> matrix;
   for (size_t shard_words : {size_t{1}, size_t{4}, size_t{1} << 20}) {
-    for (size_t num_threads : {size_t{1}, size_t{4}}) {
-      matrix.push_back(ProbeOptions{shard_words, num_threads, true});
-    }
-    for (ProbeScheduler scheduler :
-         {ProbeScheduler::kStaticSplit, ProbeScheduler::kWorkStealing}) {
-      for (bool simd : {true, false}) {
-        ProbeOptions options{shard_words, 8, true};
-        options.scheduler = scheduler;
-        options.pool = TestPool();
-        options.simd = simd;
-        matrix.push_back(options);
-      }
-    }
-    // Auto-detected thread count on the work-stealing pool.
-    ProbeOptions auto_detect{shard_words, 0, true};
-    auto_detect.pool = TestPool();
-    matrix.push_back(auto_detect);
+    matrix.push_back(ProbeOptions{shard_words, 1});
+    matrix.push_back(ProbeOptions{shard_words, 4});
+    matrix.push_back(ProbeOptions{shard_words, 8, TestPool()});
+    matrix.push_back(ProbeOptions{shard_words, 0, TestPool()});
   }
   return matrix;
 }
 
 std::string DescribeOptions(const ProbeOptions& options) {
-  std::string desc = "shard_words=" + std::to_string(options.shard_words) +
-                     " threads=" + std::to_string(options.num_threads);
-  desc += options.scheduler == ProbeScheduler::kWorkStealing ? " ws" : " static";
-  if (!options.simd) desc += " scalar-kernels";
-  return desc;
+  return "shard_words=" + std::to_string(options.shard_words) +
+         " threads=" + std::to_string(options.num_threads);
 }
 
 /// Random papers/tags workload (same shape as the probe-engine fuzz) big
@@ -146,10 +133,10 @@ class RandomWorkload {
   Rng rng_;
 };
 
-TEST(BatchProber, CountAndEvalMatchScalarAcrossShardWidthsAndThreads) {
+TEST(BatchProber, CountAndEvalMatchOracleAcrossShardWidthsAndThreads) {
   RandomWorkload w(1234);
   Combiner combiner(&w.prefs_);
-  CombinationProber scalar(&combiner, &w.enhancer_->probe_engine());
+  CombinationProber prober(&combiner, &w.enhancer_->probe_engine());
 
   // Frontier with mixed shapes, duplicates, and the empty combination.
   std::vector<Combination> frontier;
@@ -157,18 +144,15 @@ TEST(BatchProber, CountAndEvalMatchScalarAcrossShardWidthsAndThreads) {
   frontier.push_back(frontier.front());  // duplicate
   frontier.push_back(Combination{});     // degenerate: no groups
 
-  std::vector<size_t> expected_counts;
+  std::vector<size_t> expected_counts = probe_oracle::Counts(prober, frontier);
   std::vector<KeyBitmap> expected_bits(frontier.size());
   for (size_t f = 0; f < frontier.size(); ++f) {
-    auto count = scalar.Count(frontier[f]);
-    ASSERT_TRUE(count.ok()) << count.status().ToString();
-    expected_counts.push_back(count.value());
-    ASSERT_TRUE(scalar.BitsInto(frontier[f], &expected_bits[f]).ok());
+    ASSERT_TRUE(prober.BitsInto(frontier[f], &expected_bits[f]).ok());
   }
 
   for (const ProbeOptions& options : OptionMatrix()) {
     SCOPED_TRACE(DescribeOptions(options));
-    BatchProber batch(&scalar, options);
+    BatchProber batch(&prober, options);
     auto counts = batch.CountBatch(frontier);
     ASSERT_TRUE(counts.ok()) << counts.status().ToString();
     EXPECT_EQ(*counts, expected_counts);
@@ -190,57 +174,51 @@ TEST(BatchProber, CountAndEvalMatchScalarAcrossShardWidthsAndThreads) {
   }
 }
 
-TEST(BatchProber, CountExtensionsAndPairsMatchScalarAndCount) {
+TEST(BatchProber, CountExtensionsAndPairsMatchOracle) {
   RandomWorkload w(99);
   Combiner combiner(&w.prefs_);
-  CombinationProber scalar(&combiner, &w.enhancer_->probe_engine());
+  CombinationProber prober(&combiner, &w.enhancer_->probe_engine());
   size_t n = w.prefs_.size();
 
+  Combination base_combination = w.RandomCombination(combiner);
   KeyBitmap base;
-  ASSERT_TRUE(scalar.BitsInto(w.RandomCombination(combiner), &base).ok());
+  ASSERT_TRUE(prober.BitsInto(base_combination, &base).ok());
   std::vector<size_t> candidates;
   for (size_t k = 0; k < n; ++k) candidates.push_back(k);
   std::vector<std::pair<size_t, size_t>> pairs;
   for (size_t i = 0; i + 1 < n; ++i) {
     for (size_t j = i + 1; j < n; ++j) pairs.emplace_back(i, j);
   }
+  std::vector<size_t> expected_ext = probe_oracle::ExtensionCounts(
+      prober, combiner, base_combination, candidates);
+  std::vector<size_t> expected_pairs =
+      probe_oracle::PairCounts(prober, combiner, pairs);
 
   for (const ProbeOptions& options : OptionMatrix()) {
     SCOPED_TRACE(DescribeOptions(options));
-    BatchProber batch(&scalar, options);
+    BatchProber batch(&prober, options);
 
     auto ext = batch.CountExtensions(base, candidates);
     ASSERT_TRUE(ext.ok()) << ext.status().ToString();
-    ASSERT_EQ(ext->size(), candidates.size());
-    for (size_t c = 0; c < candidates.size(); ++c) {
-      auto bits = scalar.PreferenceBits(candidates[c]);
-      ASSERT_TRUE(bits.ok());
-      EXPECT_EQ((*ext)[c], KeyBitmap::AndCount(base, **bits));
-    }
+    EXPECT_EQ(*ext, expected_ext);
     auto no_ext = batch.CountExtensions(base, {});
     ASSERT_TRUE(no_ext.ok());
     EXPECT_TRUE(no_ext->empty());
 
     auto pair_counts = batch.CountPairs(pairs);
     ASSERT_TRUE(pair_counts.ok()) << pair_counts.status().ToString();
-    ASSERT_EQ(pair_counts->size(), pairs.size());
-    for (size_t p = 0; p < pairs.size(); ++p) {
-      auto a = scalar.PreferenceBits(pairs[p].first);
-      auto b = scalar.PreferenceBits(pairs[p].second);
-      ASSERT_TRUE(a.ok() && b.ok());
-      EXPECT_EQ((*pair_counts)[p], KeyBitmap::AndCount(**a, **b));
-    }
+    EXPECT_EQ(*pair_counts, expected_pairs);
   }
 }
 
-TEST(BatchProber, SkewedFrontierByteIdenticalUnderWorkStealing) {
+TEST(BatchProber, SkewedFrontierMatchesOracleUnderWorkStealing) {
   // Steal-heavy shape: a frontier mixing many cheap single-member
   // combinations with a block of maximum-size ones, so seeded tile ranges
   // have wildly different costs and the pool must rebalance. Counts and
-  // bitmaps must stay byte-identical to the scalar path.
+  // bitmaps must stay byte-identical to the oracle.
   RandomWorkload w(31337);
   Combiner combiner(&w.prefs_);
-  CombinationProber scalar(&combiner, &w.enhancer_->probe_engine());
+  CombinationProber prober(&combiner, &w.enhancer_->probe_engine());
   size_t n = w.prefs_.size();
 
   std::vector<Combination> frontier;
@@ -256,92 +234,74 @@ TEST(BatchProber, SkewedFrontierByteIdenticalUnderWorkStealing) {
     frontier.push_back(combiner.Single((rep + 3) % n));
   }
 
-  std::vector<size_t> expected;
+  std::vector<size_t> expected = probe_oracle::Counts(prober, frontier);
   std::vector<KeyBitmap> expected_bits(frontier.size());
   for (size_t f = 0; f < frontier.size(); ++f) {
-    auto count = scalar.Count(frontier[f]);
-    ASSERT_TRUE(count.ok());
-    expected.push_back(count.value());
-    ASSERT_TRUE(scalar.BitsInto(frontier[f], &expected_bits[f]).ok());
+    ASSERT_TRUE(prober.BitsInto(frontier[f], &expected_bits[f]).ok());
   }
 
   for (size_t shard_words : {size_t{1}, size_t{4}}) {
-    for (bool simd : {true, false}) {
-      ProbeOptions options{shard_words, 8, true};
-      options.pool = TestPool();
-      options.simd = simd;
-      SCOPED_TRACE(DescribeOptions(options));
-      BatchProber batch(&scalar, options);
-      auto counts = batch.CountBatch(frontier);
-      ASSERT_TRUE(counts.ok());
-      EXPECT_EQ(*counts, expected);
-      std::vector<KeyBitmap> bits;
-      ASSERT_TRUE(batch.EvalBatch(frontier, &bits).ok());
-      for (size_t f = 0; f < frontier.size(); ++f) {
-        ASSERT_EQ(bits[f], expected_bits[f]) << "frontier item " << f;
-      }
+    ProbeOptions options{shard_words, 8, TestPool()};
+    SCOPED_TRACE(DescribeOptions(options));
+    BatchProber batch(&prober, options);
+    auto counts = batch.CountBatch(frontier);
+    ASSERT_TRUE(counts.ok());
+    EXPECT_EQ(*counts, expected);
+    std::vector<KeyBitmap> bits;
+    ASSERT_TRUE(batch.EvalBatch(frontier, &bits).ok());
+    for (size_t f = 0; f < frontier.size(); ++f) {
+      ASSERT_EQ(bits[f], expected_bits[f]) << "frontier item " << f;
     }
   }
 }
 
 TEST(BatchProber, MoreThreadsThanShardsStaysExact) {
-  // Regression for the tail imbalance of the old ceil-division static
-  // split: with num_threads > num_shards the per-worker quota rounded up,
-  // so early workers swallowed everything and later ones got empty ranges
-  // (and with shards % threads != 0 the last worker could carry half the
-  // quota of the rest). The split now partitions balanced and never hands
-  // out empty ranges; both schedulers must stay exact whatever the
-  // thread/shard ratio.
+  // Whatever the thread/shard ratio, the slot plan never hands a worker an
+  // empty tile range and the per-slot partial counts still sum exactly.
   RandomWorkload w(2024);
   Combiner combiner(&w.prefs_);
-  CombinationProber scalar(&combiner, &w.enhancer_->probe_engine());
+  CombinationProber prober(&combiner, &w.enhancer_->probe_engine());
 
   std::vector<Combination> frontier;
   for (int i = 0; i < 10; ++i) frontier.push_back(w.RandomCombination(combiner));
-  std::vector<size_t> expected;
-  for (const auto& c : frontier) {
-    auto count = scalar.Count(c);
-    ASSERT_TRUE(count.ok());
-    expected.push_back(count.value());
-  }
+  std::vector<size_t> expected = probe_oracle::Counts(prober, frontier);
 
   // The test universe is a few hundred bits (<= 6 words), so shard_words of
   // {1 << 20, 3, 1} give ~1, 2-3, and 6+ shards respectively.
   for (size_t shard_words : {size_t{1} << 20, size_t{3}, size_t{1}}) {
     for (size_t num_threads : {size_t{2}, size_t{3}, size_t{5}, size_t{8},
                                size_t{16}}) {
-      for (ProbeScheduler scheduler :
-           {ProbeScheduler::kStaticSplit, ProbeScheduler::kWorkStealing}) {
-        ProbeOptions options{shard_words, num_threads, true};
-        options.scheduler = scheduler;
-        options.pool = TestPool();
-        SCOPED_TRACE(DescribeOptions(options));
-        BatchProber batch(&scalar, options);
-        auto counts = batch.CountBatch(frontier);
-        ASSERT_TRUE(counts.ok());
-        EXPECT_EQ(*counts, expected);
-      }
+      ProbeOptions options{shard_words, num_threads, TestPool()};
+      SCOPED_TRACE(DescribeOptions(options));
+      BatchProber batch(&prober, options);
+      auto counts = batch.CountBatch(frontier);
+      ASSERT_TRUE(counts.ok());
+      EXPECT_EQ(*counts, expected);
     }
   }
 }
 
-TEST(BatchProber, PureAndChainShortcutMatchesMaterializedPath) {
-  // The generalized Count shortcut: AND chains of every length must agree
-  // with the materializing BitsInto+Count evaluation.
+TEST(BatchProber, PureAndChainsMatchOracle) {
+  // AND chains of every length (every group a single member) take
+  // CountBatch's borrowed-pointer path, which never materializes a group
+  // buffer; they must agree with the materializing oracle.
   RandomWorkload w(7);
   Combiner combiner(&w.prefs_);
   CombinationProber prober(&combiner, &w.enhancer_->probe_engine());
+  std::vector<Combination> chains;
   Combination chain;
   for (size_t len = 1; len <= w.prefs_.size(); ++len) {
     chain = len == 1 ? combiner.Single(0) : combiner.AndExtend(chain, len - 1);
-    // Force the chain into single-member groups regardless of attribute
-    // keys: AndExtend always appends a new group.
+    // AndExtend always appends a new group, whatever the attribute keys.
     ASSERT_EQ(chain.groups.size(), len);
-    auto fast = prober.Count(chain);
-    ASSERT_TRUE(fast.ok());
-    KeyBitmap bits;
-    ASSERT_TRUE(prober.BitsInto(chain, &bits).ok());
-    EXPECT_EQ(fast.value(), bits.Count()) << "chain length " << len;
+    chains.push_back(chain);
+  }
+  std::vector<size_t> expected = probe_oracle::Counts(prober, chains);
+  for (const ProbeOptions& options : OptionMatrix()) {
+    SCOPED_TRACE(DescribeOptions(options));
+    auto counts = BatchProber(&prober, options).CountBatch(chains);
+    ASSERT_TRUE(counts.ok());
+    EXPECT_EQ(*counts, expected);
   }
 }
 
@@ -376,7 +336,7 @@ TEST(BatchProber, ProbeStatisticsContract) {
   std::vector<PreferenceAtom> prefs = MiniPreferences();
   Combiner combiner(&prefs);
   CombinationProber prober(&combiner, &engine);
-  BatchProber batch(&prober, ProbeOptions{4, 2, true});
+  BatchProber batch(&prober, ProbeOptions{4, 2});
 
   // Bulk prefetch: 5 preferences = 5 distinct leaves, ONE executor pass but
   // one counted leaf query per leaf; no probes answered yet.
@@ -387,8 +347,8 @@ TEST(BatchProber, ProbeStatisticsContract) {
   ASSERT_TRUE(prober.PrefetchAll().ok());
   EXPECT_EQ(engine.num_leaf_queries(), 5u);
 
-  // A scalar combination probe answers one probe from cache.
-  ASSERT_TRUE(prober.Count(combiner.MixedClause({0, 1})).ok());
+  // A one-combination batch answers one probe from cache.
+  ASSERT_TRUE(batch.CountBatch({combiner.MixedClause({0, 1})}).ok());
   EXPECT_EQ(engine.num_cache_hits(), 1u);
   EXPECT_EQ(engine.num_leaf_queries(), 5u);  // no new DB work
 
@@ -414,7 +374,7 @@ TEST(BatchProber, ProbeStatisticsContract) {
   EXPECT_EQ(engine.num_leaf_queries(), 5u);
 }
 
-// --- Byte-identical algorithm outputs, batching on vs off ------------------
+// --- Algorithm records against the oracle -----------------------------------
 
 void ExpectRecordsIdentical(const std::vector<CombinationRecord>& a,
                             const std::vector<CombinationRecord>& b) {
@@ -429,71 +389,261 @@ void ExpectRecordsIdentical(const std::vector<CombinationRecord>& a,
   }
 }
 
-class BatchVsScalarAlgorithms : public ::testing::Test {
+/// Members of a combination in group order (the order a chain grew in).
+std::vector<size_t> MembersInOrder(const Combination& combination) {
+  std::vector<size_t> members;
+  for (const auto& group : combination.groups) {
+    members.insert(members.end(), group.members.begin(), group.members.end());
+  }
+  return members;
+}
+
+/// Sorted member sets of `records` with at least `min_size` members.
+std::set<std::vector<size_t>> MemberSets(
+    const std::vector<CombinationRecord>& records, size_t min_size = 1) {
+  std::set<std::vector<size_t>> sets;
+  for (const auto& record : records) {
+    if (record.combination.NumPredicates() >= min_size) {
+      sets.insert(record.combination.SortedMembers());
+    }
+  }
+  return sets;
+}
+
+class AlgorithmsMatchOracle : public ::testing::Test {
  protected:
-  void SetUp() override {
-    scalar_.batching = false;
-    batched_ = ProbeOptions{2, 4, true};  // tiny shards + threads: max stress
+  /// The algorithms run under the default options (inline, 512-word
+  /// shards), tiny shards on the shared pool, and one-word shards on the
+  /// explicit 8-slot pool: maximum stress on the tiling.
+  static std::vector<ProbeOptions> Configurations() {
+    return {ProbeOptions{}, ProbeOptions{2, 4},
+            ProbeOptions{1, 8, TestPool()}};
   }
 
-  ProbeOptions scalar_;
-  ProbeOptions batched_;
+  void SetUp() override {
+    combiner_ = std::make_unique<Combiner>(&w_.prefs_);
+    prober_ = std::make_unique<CombinationProber>(
+        combiner_.get(), &w_.enhancer_->probe_engine());
+  }
+
+  /// Every non-empty subset of the preference list whose oracle count is
+  /// above zero, as sorted member lists.
+  std::set<std::vector<size_t>> ApplicableSubsets() {
+    std::set<std::vector<size_t>> applicable;
+    size_t n = w_.prefs_.size();
+    for (uint64_t mask = 1; mask < (uint64_t{1} << n); ++mask) {
+      Combination combination;
+      std::vector<size_t> members;
+      for (size_t i = 0; i < n; ++i) {
+        if (((mask >> i) & 1) == 0) continue;
+        combination = members.empty() ? combiner_->Single(i)
+                                      : combiner_->AndExtend(combination, i);
+        members.push_back(i);
+      }
+      auto count = probe_oracle::Count(*prober_, combination);
+      EXPECT_TRUE(count.ok());
+      if (count.ok() && *count > 0) applicable.insert(members);
+    }
+    return applicable;
+  }
+
+  RandomWorkload w_{77};
+  std::unique_ptr<Combiner> combiner_;
+  std::unique_ptr<CombinationProber> prober_;
 };
 
-TEST_F(BatchVsScalarAlgorithms, PepsOrderAndTopKByteIdentical) {
-  RandomWorkload w(42);
-  SortByIntensityDesc(&w.prefs_);
-  for (PepsMode mode : {PepsMode::kComplete, PepsMode::kApproximate}) {
-    Peps off(&w.prefs_, w.enhancer_.get(), scalar_);
-    Peps on(&w.prefs_, w.enhancer_.get(), batched_);
-    auto order_off = off.GenerateOrder(mode);
-    auto order_on = on.GenerateOrder(mode);
-    ASSERT_TRUE(order_off.ok() && order_on.ok());
-    ExpectRecordsIdentical(*order_off, *order_on);
-    EXPECT_EQ(off.num_expansion_probes(), on.num_expansion_probes());
-    EXPECT_EQ(off.pairs().size(), on.pairs().size());
+TEST_F(AlgorithmsMatchOracle, ExhaustiveIsExactlyTheApplicableSubsets) {
+  std::set<std::vector<size_t>> applicable = ApplicableSubsets();
+  ASSERT_FALSE(applicable.empty());
+  std::vector<CombinationRecord> reference;
+  for (const ProbeOptions& options : Configurations()) {
+    SCOPED_TRACE(DescribeOptions(options));
+    auto records = ExhaustiveAndCombinations(w_.prefs_, *w_.enhancer_, 20,
+                                             options);
+    ASSERT_TRUE(records.ok()) << records.status().ToString();
+    probe_oracle::ExpectRecordsMatchOracle(*prober_, *records, "exhaustive");
+    EXPECT_EQ(records->size(), applicable.size());
+    EXPECT_EQ(MemberSets(*records), applicable);
+    if (reference.empty()) reference = *records;
+    ExpectRecordsIdentical(*records, reference);
+  }
+}
 
-    auto topk_off = off.TopK(25, mode);
-    auto topk_on = on.TopK(25, mode);
-    ASSERT_TRUE(topk_off.ok() && topk_on.ok());
-    ASSERT_EQ(topk_off->size(), topk_on->size());
-    for (size_t i = 0; i < topk_off->size(); ++i) {
-      EXPECT_EQ((*topk_off)[i].key, (*topk_on)[i].key) << "rank " << i;
-      EXPECT_EQ((*topk_off)[i].intensity, (*topk_on)[i].intensity);
+TEST_F(AlgorithmsMatchOracle, CombineTwoAndPartiallyCombineAllMatchOracle) {
+  size_t n = w_.prefs_.size();
+  for (CombineSemantics semantics :
+       {CombineSemantics::kAnd, CombineSemantics::kAndOr}) {
+    std::vector<CombinationRecord> reference;
+    for (const ProbeOptions& options : Configurations()) {
+      SCOPED_TRACE(DescribeOptions(options));
+      auto records = CombineTwo(w_.prefs_, *w_.enhancer_, semantics, options);
+      ASSERT_TRUE(records.ok()) << records.status().ToString();
+      ASSERT_EQ(records->size(), n * (n - 1) / 2);
+      probe_oracle::ExpectRecordsMatchOracle(*prober_, *records,
+                                             "combine-two");
+      if (reference.empty()) reference = *records;
+      ExpectRecordsIdentical(*records, reference);
+    }
+  }
+
+  std::vector<CombinationRecord> reference;
+  for (const ProbeOptions& options : Configurations()) {
+    SCOPED_TRACE(DescribeOptions(options));
+    auto records = PartiallyCombineAll(w_.prefs_, *w_.enhancer_, options);
+    ASSERT_TRUE(records.ok()) << records.status().ToString();
+    ASSERT_FALSE(records->empty());
+    probe_oracle::ExpectRecordsMatchOracle(*prober_, *records,
+                                           "partially-combine-all");
+    if (reference.empty()) reference = *records;
+    ExpectRecordsIdentical(*records, reference);
+  }
+}
+
+TEST_F(AlgorithmsMatchOracle, PepsMatchesOracleAndExhaustive) {
+  std::set<std::vector<size_t>> applicable = ApplicableSubsets();
+  std::set<std::vector<size_t>> applicable_multi;
+  for (const auto& members : applicable) {
+    if (members.size() >= 2) applicable_multi.insert(members);
+  }
+  for (PepsMode mode : {PepsMode::kComplete, PepsMode::kApproximate}) {
+    std::vector<CombinationRecord> reference;
+    size_t reference_probes = 0;
+    for (const ProbeOptions& options : Configurations()) {
+      SCOPED_TRACE(DescribeOptions(options));
+      Peps peps(&w_.prefs_, w_.enhancer_.get(), options);
+      auto order = peps.GenerateOrder(mode);
+      ASSERT_TRUE(order.ok()) << order.status().ToString();
+      probe_oracle::ExpectRecordsMatchOracle(*prober_, *order, "peps");
+      for (const PairEntry& pair : peps.pairs()) {
+        auto count = probe_oracle::Count(
+            *prober_, combiner_->AndExtend(combiner_->Single(pair.i), pair.j));
+        ASSERT_TRUE(count.ok());
+        EXPECT_EQ(pair.num_tuples, *count) << pair.i << "," << pair.j;
+      }
+      if (mode == PepsMode::kComplete) {
+        EXPECT_EQ(MemberSets(*order), applicable_multi);
+      }
+      if (reference.empty()) {
+        reference = *order;
+        reference_probes = peps.num_expansion_probes();
+      }
+      ExpectRecordsIdentical(*order, reference);
+      EXPECT_EQ(peps.num_expansion_probes(), reference_probes);
     }
   }
 }
 
-TEST_F(BatchVsScalarAlgorithms, ExhaustiveCombineTwoPartiallyByteIdentical) {
-  RandomWorkload w(77);
-  auto ex_off = ExhaustiveAndCombinations(w.prefs_, *w.enhancer_, 20, scalar_);
-  auto ex_on = ExhaustiveAndCombinations(w.prefs_, *w.enhancer_, 20, batched_);
-  ASSERT_TRUE(ex_off.ok() && ex_on.ok());
-  ExpectRecordsIdentical(*ex_off, *ex_on);
-
-  for (CombineSemantics semantics :
-       {CombineSemantics::kAnd, CombineSemantics::kAndOr}) {
-    auto ct_off = CombineTwo(w.prefs_, *w.enhancer_, semantics, scalar_);
-    auto ct_on = CombineTwo(w.prefs_, *w.enhancer_, semantics, batched_);
-    ASSERT_TRUE(ct_off.ok() && ct_on.ok());
-    ExpectRecordsIdentical(*ct_off, *ct_on);
+TEST_F(AlgorithmsMatchOracle, PepsTopKRanksEveryTupleByItsBestCombination) {
+  // Oracle ranking: a tuple's intensity is the highest intensity among the
+  // applicable combinations (and single preferences) it matches. In
+  // complete mode PEPS sees every applicable combination, so each ranked
+  // tuple must carry exactly that intensity, the ranking must be
+  // non-increasing, and no unranked tuple may beat the last ranked one.
+  const ProbeEngine& engine = w_.enhancer_->probe_engine();
+  std::unordered_map<Value, double, reldb::ValueHash> best;
+  auto offer = [&](const Combination& combination, double intensity) {
+    KeyBitmap bits;
+    ASSERT_TRUE(prober_->BitsInto(combination, &bits).ok());
+    for (const Value& key : engine.KeysOf(bits)) {
+      auto [it, inserted] = best.emplace(key, intensity);
+      if (!inserted && intensity > it->second) it->second = intensity;
+    }
+  };
+  for (size_t i = 0; i < w_.prefs_.size(); ++i) {
+    offer(combiner_->Single(i), w_.prefs_[i].intensity);
+  }
+  for (const auto& members : ApplicableSubsets()) {
+    if (members.size() < 2) continue;
+    Combination combination = combiner_->Single(members[0]);
+    for (size_t m = 1; m < members.size(); ++m) {
+      combination = combiner_->AndExtend(combination, members[m]);
+    }
+    offer(combination, combiner_->ComputeIntensity(combination));
   }
 
-  auto pca_off = PartiallyCombineAll(w.prefs_, *w.enhancer_, scalar_);
-  auto pca_on = PartiallyCombineAll(w.prefs_, *w.enhancer_, batched_);
-  ASSERT_TRUE(pca_off.ok() && pca_on.ok());
-  ExpectRecordsIdentical(*pca_off, *pca_on);
+  constexpr size_t kTopK = 25;
+  for (PepsMode mode : {PepsMode::kComplete, PepsMode::kApproximate}) {
+    std::vector<RankedTuple> reference;
+    for (const ProbeOptions& options : Configurations()) {
+      SCOPED_TRACE(DescribeOptions(options));
+      Peps peps(&w_.prefs_, w_.enhancer_.get(), options);
+      auto topk = peps.TopK(kTopK, mode);
+      ASSERT_TRUE(topk.ok()) << topk.status().ToString();
+      ASSERT_EQ(topk->size(), kTopK);
+      if (reference.empty()) reference = *topk;
+      EXPECT_EQ(*topk, reference);
+      if (mode != PepsMode::kComplete) continue;
+      std::set<Value> ranked;
+      for (size_t r = 0; r < topk->size(); ++r) {
+        const RankedTuple& tuple = (*topk)[r];
+        ASSERT_EQ(best.count(tuple.key), 1u) << "rank " << r;
+        EXPECT_EQ(tuple.intensity, best.at(tuple.key)) << "rank " << r;
+        if (r > 0) {
+          EXPECT_LE(tuple.intensity, (*topk)[r - 1].intensity);
+        }
+        ranked.insert(tuple.key);
+      }
+      for (const auto& [key, intensity] : best) {
+        if (ranked.count(key) == 0) {
+          EXPECT_LE(intensity, topk->back().intensity);
+        }
+      }
+    }
+  }
 }
 
-TEST_F(BatchVsScalarAlgorithms, BiasRandomByteIdentical) {
+// Bias-random's draw sequence, records and valid/invalid tallies for three
+// seeds on RandomWorkload(5), pinned from the last build that still had a
+// per-combination scalar probe path (batched and scalar runs agreed there).
+// Members are listed in chain order.
+struct BiasRandomPin {
+  uint64_t seed;
+  size_t valid_checks;
+  size_t invalid_checks;
+  // (members, num_tuples) per record.
+  std::vector<std::pair<std::vector<size_t>, size_t>> records;
+};
+
+const std::vector<BiasRandomPin>& BiasRandomPins() {
+  static const std::vector<BiasRandomPin> pins = {
+      {1, 14, 8,
+       {{{0, 4, 3}, 3}, {{1, 2, 5}, 2}, {{2, 0, 3}, 1}, {{3, 2, 6}, 1},
+        {{4, 6, 3}, 1}, {{5, 6}, 18}, {{6, 2}, 10}, {{7, 0, 3}, 1}}},
+      {17, 15, 10,
+       {{{0, 4, 3}, 3}, {{1, 7, 4}, 2}, {{2, 6, 5}, 3}, {{3, 4, 0}, 3},
+        {{4, 1}, 24}, {{5, 1}, 11}, {{6, 7, 3}, 1}, {{7, 0, 2, 4}, 1}}},
+      {123, 13, 9,
+       {{{0, 7, 3}, 1}, {{1, 2, 7}, 2}, {{2, 4}, 8}, {{3, 1, 4}, 4},
+        {{4, 0, 2}, 3}, {{5, 0, 2}, 1}, {{6, 2}, 10}, {{7, 1}, 15}}},
+  };
+  return pins;
+}
+
+TEST(BiasRandomOracle, MatchesPinnedRunsAndOracleCounts) {
   RandomWorkload w(5);
-  for (uint64_t seed : {1ull, 17ull, 123ull}) {
-    auto off = BiasRandomSelection(w.prefs_, *w.enhancer_, seed, scalar_);
-    auto on = BiasRandomSelection(w.prefs_, *w.enhancer_, seed, batched_);
-    ASSERT_TRUE(off.ok() && on.ok());
-    ExpectRecordsIdentical(off->records, on->records);
-    EXPECT_EQ(off->valid_checks, on->valid_checks);
-    EXPECT_EQ(off->invalid_checks, on->invalid_checks);
+  Combiner combiner(&w.prefs_);
+  CombinationProber prober(&combiner, &w.enhancer_->probe_engine());
+  for (const BiasRandomPin& pin : BiasRandomPins()) {
+    for (const ProbeOptions& options :
+         {ProbeOptions{}, ProbeOptions{2, 4}, ProbeOptions{1, 8, TestPool()}}) {
+      SCOPED_TRACE(testing::Message() << "seed=" << pin.seed << " "
+                                      << DescribeOptions(options));
+      auto run = BiasRandomSelection(w.prefs_, *w.enhancer_, pin.seed, options);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      EXPECT_EQ(run->valid_checks, pin.valid_checks);
+      EXPECT_EQ(run->invalid_checks, pin.invalid_checks);
+      ASSERT_EQ(run->records.size(), pin.records.size());
+      for (size_t r = 0; r < pin.records.size(); ++r) {
+        const CombinationRecord& record = run->records[r];
+        EXPECT_EQ(MembersInOrder(record.combination), pin.records[r].first)
+            << "record " << r;
+        EXPECT_EQ(record.num_tuples, pin.records[r].second) << "record " << r;
+        EXPECT_EQ(record.intensity,
+                  combiner.ComputeIntensity(record.combination));
+      }
+      probe_oracle::ExpectRecordsMatchOracle(prober, run->records,
+                                             "bias-random");
+    }
   }
 }
 

@@ -72,15 +72,16 @@ EnumerationRequest MakeRequest(const std::string& algorithm,
 }
 
 /// The request mix every differential test drives: combination enumerators
-/// and rankers, batching on and off, single- and multi-threaded probes.
+/// and rankers, default and narrow shards, single- and multi-threaded
+/// probes.
 std::vector<EnumerationRequest> RequestMix(
     const std::vector<core::PreferenceAtom>& prefs) {
   std::vector<EnumerationRequest> requests;
   requests.push_back(MakeRequest("exhaustive", prefs));
   {
-    core::ProbeOptions scalar;
-    scalar.batching = false;
-    requests.push_back(MakeRequest("combine-two", prefs, scalar));
+    core::ProbeOptions narrow_shards;
+    narrow_shards.shard_words = 2;
+    requests.push_back(MakeRequest("combine-two", prefs, narrow_shards));
   }
   {
     core::ProbeOptions parallel_opts;
@@ -193,7 +194,8 @@ TEST(ConcurrentSession, AdmissionCapsPreserveResults) {
   // cannot fit under the cap until we let go: at least one of them is
   // forced to queue, deterministically (on a single core the clients might
   // otherwise serialize naturally and never wait).
-  AdmissionScheduler::Ticket plug = session.scheduler().Admit(10);
+  auto plug = session.scheduler().TryAdmit(10, std::nullopt);
+  ASSERT_TRUE(plug.ok()) << plug.status().ToString();
 
   constexpr size_t kThreads = 8;
   std::atomic<size_t> mismatches{0};
@@ -210,7 +212,7 @@ TEST(ConcurrentSession, AdmissionCapsPreserveResults) {
   }
   ASSERT_TRUE(WaitFor(
       [&] { return session.scheduler().stats().queue_depth > 0; }));
-  plug.Release();
+  plug->Release();
 
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(mismatches.load(), 0u);
@@ -445,17 +447,17 @@ TEST(ConcurrentSession, PerRequestStatsAreExactUnderConcurrency) {
 
 TEST(AdmissionScheduler, UnlimitedByDefault) {
   AdmissionScheduler scheduler;
-  auto a = scheduler.Admit(100);
-  auto b = scheduler.Admit(0);
-  auto c = scheduler.Admit(1000000);
+  auto a = scheduler.TryAdmit(100, std::nullopt);
+  auto b = scheduler.TryAdmit(0, std::nullopt);
+  auto c = scheduler.TryAdmit(1000000, std::nullopt);
   AdmissionScheduler::Stats stats = scheduler.stats();
   EXPECT_EQ(stats.admitted, 3u);
   EXPECT_EQ(stats.waited, 0u);
   EXPECT_EQ(stats.inflight, 3u);
   EXPECT_EQ(stats.inflight_budget, 1000100u);
-  a.Release();
-  b.Release();
-  c.Release();
+  a->Release();
+  b->Release();
+  c->Release();
   EXPECT_EQ(scheduler.stats().inflight, 0u);
   EXPECT_EQ(scheduler.stats().inflight_budget, 0u);
 }
@@ -464,16 +466,16 @@ TEST(AdmissionScheduler, ConcurrencyCapBlocksAndReleases) {
   AdmissionScheduler::Options options;
   options.max_concurrent = 2;
   AdmissionScheduler scheduler(options);
-  auto a = scheduler.Admit(0);
-  auto b = scheduler.Admit(0);
+  auto a = scheduler.TryAdmit(0, std::nullopt);
+  auto b = scheduler.TryAdmit(0, std::nullopt);
   std::atomic<bool> admitted{false};
   std::thread waiter([&] {
-    auto c = scheduler.Admit(0);
+    auto c = scheduler.TryAdmit(0, std::nullopt);
     admitted.store(true);
   });
   ASSERT_TRUE(WaitFor([&] { return scheduler.stats().queue_depth == 1; }));
   EXPECT_FALSE(admitted.load());
-  a.Release();
+  a->Release();
   waiter.join();
   EXPECT_TRUE(admitted.load());
   AdmissionScheduler::Stats stats = scheduler.stats();
@@ -485,10 +487,11 @@ TEST(AdmissionScheduler, BudgetCapBlocksUntilSpendDrains) {
   AdmissionScheduler::Options options;
   options.max_inflight_probe_budget = 10;
   AdmissionScheduler scheduler(options);
-  auto a = scheduler.Admit(6);
+  auto a = scheduler.TryAdmit(6, std::nullopt);
   std::atomic<bool> admitted{false};
   std::thread waiter([&] {
-    auto b = scheduler.Admit(6);  // 6 + 6 > 10: must wait for a
+    // 6 + 6 > 10: must wait for a.
+    auto b = scheduler.TryAdmit(6, std::nullopt);
     admitted.store(true);
   });
   ASSERT_TRUE(WaitFor([&] { return scheduler.stats().queue_depth == 1; }));
@@ -497,12 +500,12 @@ TEST(AdmissionScheduler, BudgetCapBlocksUntilSpendDrains) {
   // the blocked budget-6 request: strict arrival order, no overtaking.
   std::atomic<bool> zero_admitted{false};
   std::thread zero([&] {
-    auto c = scheduler.Admit(0);
+    auto c = scheduler.TryAdmit(0, std::nullopt);
     zero_admitted.store(true);
   });
   ASSERT_TRUE(WaitFor([&] { return scheduler.stats().queue_depth == 2; }));
   EXPECT_FALSE(zero_admitted.load());
-  a.Release();
+  a->Release();
   waiter.join();
   zero.join();
   EXPECT_TRUE(admitted.load());
@@ -514,17 +517,17 @@ TEST(AdmissionScheduler, OversizedRequestAdmittedWhenAlone) {
   options.max_inflight_probe_budget = 10;
   AdmissionScheduler scheduler(options);
   // Cost 50 > cap 10, but nothing is in flight: admit rather than starve.
-  auto huge = scheduler.Admit(50);
+  auto huge = scheduler.TryAdmit(50, std::nullopt);
   EXPECT_EQ(scheduler.stats().inflight, 1u);
   // While the oversized request runs, everything budgeted queues.
   std::atomic<bool> admitted{false};
   std::thread waiter([&] {
-    auto small = scheduler.Admit(1);
+    auto small = scheduler.TryAdmit(1, std::nullopt);
     admitted.store(true);
   });
   ASSERT_TRUE(WaitFor([&] { return scheduler.stats().queue_depth == 1; }));
   EXPECT_FALSE(admitted.load());
-  huge.Release();
+  huge->Release();
   waiter.join();
   EXPECT_TRUE(admitted.load());
 }
@@ -533,14 +536,14 @@ TEST(AdmissionScheduler, FifoOrderUnderSingleSlot) {
   AdmissionScheduler::Options options;
   options.max_concurrent = 1;
   AdmissionScheduler scheduler(options);
-  auto gate = scheduler.Admit(0);
+  auto gate = scheduler.TryAdmit(0, std::nullopt);
 
   std::mutex order_mu;
   std::vector<int> admission_order;
   std::vector<std::thread> threads;
   for (int i = 0; i < 4; ++i) {
     threads.emplace_back([&, i] {
-      auto ticket = scheduler.Admit(0);
+      auto ticket = scheduler.TryAdmit(0, std::nullopt);
       std::lock_guard<std::mutex> lock(order_mu);
       admission_order.push_back(i);
     });
@@ -550,7 +553,7 @@ TEST(AdmissionScheduler, FifoOrderUnderSingleSlot) {
       return scheduler.stats().queue_depth == static_cast<size_t>(i + 1);
     }));
   }
-  gate.Release();
+  gate->Release();
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(admission_order, (std::vector<int>{0, 1, 2, 3}));
   AdmissionScheduler::Stats stats = scheduler.stats();
@@ -562,10 +565,10 @@ TEST(AdmissionScheduler, LooseningCapsWakesWaiters) {
   AdmissionScheduler::Options options;
   options.max_concurrent = 1;
   AdmissionScheduler scheduler(options);
-  auto gate = scheduler.Admit(0);
+  auto gate = scheduler.TryAdmit(0, std::nullopt);
   std::atomic<bool> admitted{false};
   std::thread waiter([&] {
-    auto ticket = scheduler.Admit(0);
+    auto ticket = scheduler.TryAdmit(0, std::nullopt);
     admitted.store(true);
   });
   ASSERT_TRUE(WaitFor([&] { return scheduler.stats().queue_depth == 1; }));
@@ -573,12 +576,12 @@ TEST(AdmissionScheduler, LooseningCapsWakesWaiters) {
   scheduler.set_options(AdmissionScheduler::Options());  // unlimited
   waiter.join();
   EXPECT_TRUE(admitted.load());
-  gate.Release();
+  gate->Release();
 }
 
 // --- Bounded admission (TryAdmit: queue depth + wait deadline) -------------
 
-TEST(AdmissionScheduler, TryAdmitMatchesAdmitWhenUnloaded) {
+TEST(AdmissionScheduler, TryAdmitAdmitsImmediatelyWhenUnloaded) {
   AdmissionScheduler scheduler;
   auto ticket = scheduler.TryAdmit(5);
   ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
@@ -593,7 +596,7 @@ TEST(AdmissionScheduler, QueueDepthBoundShedsWithUnavailable) {
   options.max_concurrent = 1;
   options.max_queue_depth = 1;
   AdmissionScheduler scheduler(options);
-  auto gate = scheduler.Admit(0);
+  auto gate = scheduler.TryAdmit(0, std::nullopt);
 
   // One waiter fills the queue to its bound.
   std::atomic<bool> admitted{false};
@@ -611,21 +614,9 @@ TEST(AdmissionScheduler, QueueDepthBoundShedsWithUnavailable) {
   EXPECT_NE(shed.status().message().find("queue full"), std::string::npos);
   EXPECT_EQ(scheduler.stats().rejected, 1u);
 
-  // The legacy unbounded Admit still waits (never sheds) — the in-process
-  // API contract is unchanged.
-  std::atomic<bool> legacy_admitted{false};
-  std::thread legacy([&] {
-    auto ticket = scheduler.Admit(0);
-    legacy_admitted.store(true);
-  });
-  ASSERT_TRUE(WaitFor([&] { return scheduler.stats().queue_depth == 2; }));
-  EXPECT_FALSE(legacy_admitted.load());
-
-  gate.Release();
+  gate->Release();
   waiter.join();
-  legacy.join();
   EXPECT_TRUE(admitted.load());
-  EXPECT_TRUE(legacy_admitted.load());
   EXPECT_EQ(scheduler.stats().rejected, 1u);
 }
 
@@ -633,7 +624,7 @@ TEST(AdmissionScheduler, WaitDeadlineShedsAQueuedRequest) {
   AdmissionScheduler::Options options;
   options.max_concurrent = 1;
   AdmissionScheduler scheduler(options);
-  auto gate = scheduler.Admit(0);
+  auto gate = scheduler.TryAdmit(0, std::nullopt);
 
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(50);
@@ -652,7 +643,7 @@ TEST(AdmissionScheduler, WaitDeadlineShedsAQueuedRequest) {
   EXPECT_EQ(scheduler.stats().rejected, 2u);
 
   // With capacity free, the same deadline admits immediately.
-  gate.Release();
+  gate->Release();
   auto ok = scheduler.TryAdmit(
       0, std::chrono::steady_clock::now() + std::chrono::milliseconds(50));
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
@@ -662,7 +653,7 @@ TEST(AdmissionScheduler, AbandonedHeadTicketDoesNotStallTheQueue) {
   AdmissionScheduler::Options options;
   options.max_concurrent = 1;
   AdmissionScheduler scheduler(options);
-  auto gate = scheduler.Admit(0);
+  auto gate = scheduler.TryAdmit(0, std::nullopt);
 
   // Head waiter with a short deadline; a patient waiter queues behind it.
   std::thread head([&] {
@@ -673,7 +664,7 @@ TEST(AdmissionScheduler, AbandonedHeadTicketDoesNotStallTheQueue) {
   ASSERT_TRUE(WaitFor([&] { return scheduler.stats().queue_depth == 1; }));
   std::atomic<bool> admitted{false};
   std::thread patient([&] {
-    auto ticket = scheduler.Admit(0);
+    auto ticket = scheduler.TryAdmit(0, std::nullopt);
     admitted.store(true);
   });
   ASSERT_TRUE(WaitFor([&] { return scheduler.stats().queue_depth == 2; }));
@@ -682,7 +673,7 @@ TEST(AdmissionScheduler, AbandonedHeadTicketDoesNotStallTheQueue) {
   // admitted — the abandoned HEAD ticket advanced the cursor itself.
   head.join();
   EXPECT_FALSE(admitted.load());
-  gate.Release();
+  gate->Release();
   patient.join();
   EXPECT_TRUE(admitted.load());
   EXPECT_EQ(scheduler.stats().rejected, 1u);
@@ -692,13 +683,13 @@ TEST(AdmissionScheduler, AbandonedMiddleTicketIsSkippedByTheCursor) {
   AdmissionScheduler::Options options;
   options.max_concurrent = 1;
   AdmissionScheduler scheduler(options);
-  auto gate = scheduler.Admit(0);
+  auto gate = scheduler.TryAdmit(0, std::nullopt);
 
   // Queue: [patient-A, deadline-B, patient-C]. B abandons from the MIDDLE;
   // when capacity frees, A then C must both admit (cursor skips B's slot).
   std::atomic<int> admitted{0};
   std::thread a([&] {
-    auto ticket = scheduler.Admit(0);
+    auto ticket = scheduler.TryAdmit(0, std::nullopt);
     admitted.fetch_add(1);
   });
   ASSERT_TRUE(WaitFor([&] { return scheduler.stats().queue_depth == 1; }));
@@ -709,14 +700,14 @@ TEST(AdmissionScheduler, AbandonedMiddleTicketIsSkippedByTheCursor) {
   });
   ASSERT_TRUE(WaitFor([&] { return scheduler.stats().queue_depth == 2; }));
   std::thread c([&] {
-    auto ticket = scheduler.Admit(0);
+    auto ticket = scheduler.TryAdmit(0, std::nullopt);
     admitted.fetch_add(1);
   });
   ASSERT_TRUE(WaitFor([&] { return scheduler.stats().queue_depth == 3; }));
 
   b.join();  // B times out mid-queue
   EXPECT_EQ(admitted.load(), 0);
-  gate.Release();  // admits A; A's release admits C over B's abandoned slot
+  gate->Release();  // admits A; A's release admits C over B's abandoned slot
   a.join();
   c.join();
   EXPECT_EQ(admitted.load(), 2);
@@ -733,13 +724,13 @@ TEST(ConcurrentSession, AdmissionTimeoutSurfacesAsUnavailable) {
 
   // Hold the only slot with a raw ticket, then send a request with a tiny
   // admission timeout: it must shed with Unavailable, not block.
-  auto gate = session.scheduler().Admit(0);
+  auto gate = session.scheduler().TryAdmit(0, std::nullopt);
   EnumerationRequest request = MakeRequest("combine-two", MiniPreferences());
   request.admission_timeout_ms = 30;
   auto result = session.Enumerate(request);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
-  gate.Release();
+  gate->Release();
 
   // With the slot free the same request runs.
   auto ok = session.Enumerate(request);

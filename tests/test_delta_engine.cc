@@ -16,6 +16,7 @@
 #include "hypre/algorithms/peps.h"
 #include "hypre/batch_prober.h"
 #include "hypre/delta_engine.h"
+#include "probe_oracle.h"
 #include "reldb/csv.h"
 #include "test_fixtures.h"
 
@@ -36,7 +37,7 @@ std::vector<ProbeOptions> OptionMatrix() {
   std::vector<ProbeOptions> matrix;
   for (size_t shard_words : {size_t{1}, size_t{4}, size_t{1} << 20}) {
     for (size_t num_threads : {size_t{1}, size_t{4}}) {
-      matrix.push_back(ProbeOptions{shard_words, num_threads, true});
+      matrix.push_back(ProbeOptions{shard_words, num_threads});
     }
   }
   return matrix;
@@ -524,31 +525,45 @@ TEST(DeltaEngine, RandomizedMutationDifferential) {
       for (int i = 0; i < 12; ++i) preds.push_back(w.RandomPredicate());
       ExpectEngineMatchesFresh(engine, w.db_, preds, "differential");
 
-      // Combination probes: scalar counts, batched counts, and evaluated
-      // key sets across the shard/thread matrix.
+      // Combination probes: oracle counts and key sets on the fresh engine,
+      // then the refreshed engine's oracle and every batch kernel across the
+      // shard/thread matrix.
       std::vector<Combination> frontier;
       for (int i = 0; i < 12; ++i) {
         frontier.push_back(w.RandomCombination(combiner));
       }
       frontier.push_back(Combination{});  // degenerate
-      std::vector<size_t> expected_counts;
+      std::vector<size_t> expected_counts =
+          probe_oracle::Counts(fresh_prober, frontier);
       std::vector<std::vector<Value>> expected_keys;
       KeyBitmap scratch;
       for (const Combination& c : frontier) {
-        auto count = fresh_prober.Count(c);
-        ASSERT_TRUE(count.ok()) << count.status().ToString();
-        expected_counts.push_back(*count);
         ASSERT_TRUE(fresh_prober.BitsInto(c, &scratch).ok());
         expected_keys.push_back(fresh.KeysOf(scratch));
       }
+      EXPECT_EQ(probe_oracle::Counts(prober, frontier), expected_counts);
       for (size_t f = 0; f < frontier.size(); ++f) {
-        auto count = prober.Count(frontier[f]);
-        ASSERT_TRUE(count.ok());
-        EXPECT_EQ(*count, expected_counts[f]) << "scalar count " << f;
         ASSERT_TRUE(prober.BitsInto(frontier[f], &scratch).ok());
         EXPECT_EQ(engine.KeysOf(scratch), expected_keys[f])
-            << "scalar keys " << f;
+            << "oracle keys " << f;
       }
+      // Extension and pair batches: base AND each preference, and every
+      // preference pair, with the refreshed engine's live mask applied.
+      const Combination& ext_base = frontier.front();
+      std::vector<size_t> candidates;
+      std::vector<std::pair<size_t, size_t>> pairs;
+      for (size_t i = 0; i < w.prefs_.size(); ++i) {
+        candidates.push_back(i);
+        for (size_t j = i + 1; j < w.prefs_.size(); ++j) {
+          pairs.emplace_back(i, j);
+        }
+      }
+      std::vector<size_t> expected_ext = probe_oracle::ExtensionCounts(
+          fresh_prober, combiner, ext_base, candidates);
+      std::vector<size_t> expected_pairs =
+          probe_oracle::PairCounts(fresh_prober, combiner, pairs);
+      KeyBitmap ext_base_bits;
+      ASSERT_TRUE(prober.BitsInto(ext_base, &ext_base_bits).ok());
       for (const ProbeOptions& options : OptionMatrix()) {
         SCOPED_TRACE(testing::Message()
                      << "shard_words=" << options.shard_words
@@ -564,6 +579,12 @@ TEST(DeltaEngine, RandomizedMutationDifferential) {
           EXPECT_EQ(engine.KeysOf(bits[f]), expected_keys[f])
               << "batched keys " << f;
         }
+        auto ext = batch.CountExtensions(ext_base_bits, candidates);
+        ASSERT_TRUE(ext.ok()) << ext.status().ToString();
+        EXPECT_EQ(*ext, expected_ext);
+        auto pair_counts = batch.CountPairs(pairs);
+        ASSERT_TRUE(pair_counts.ok()) << pair_counts.status().ToString();
+        EXPECT_EQ(*pair_counts, expected_pairs);
       }
     }
   }
@@ -580,18 +601,13 @@ TEST(DeltaEngine, PepsTopKAfterRefreshMatchesFreshEngine) {
   ASSERT_TRUE(enhancer.Refresh().ok());
 
   QueryEnhancer fresh_enhancer(&w.db_, w.base_, "p.pid");
-  for (bool batching : {true, false}) {
-    SCOPED_TRACE(testing::Message() << "batching=" << batching);
-    ProbeOptions options;
-    options.batching = batching;
-    Peps refreshed(&w.prefs_, &enhancer, options);
-    Peps fresh(&w.prefs_, &fresh_enhancer, options);
-    auto got = refreshed.TopK(10, PepsMode::kComplete);
-    auto want = fresh.TopK(10, PepsMode::kComplete);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    ASSERT_TRUE(want.ok()) << want.status().ToString();
-    EXPECT_EQ(*got, *want);
-  }
+  Peps refreshed(&w.prefs_, &enhancer);
+  Peps fresh(&w.prefs_, &fresh_enhancer);
+  auto got = refreshed.TopK(10, PepsMode::kComplete);
+  auto want = fresh.TopK(10, PepsMode::kComplete);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  EXPECT_EQ(*got, *want);
 }
 
 }  // namespace

@@ -348,6 +348,28 @@ TEST_F(HttpServerTest, UnknownAlgorithmIs400) {
   EXPECT_NE(reply->body.find("quantum"), std::string::npos);
 }
 
+TEST_F(HttpServerTest, ExhaustiveOverSixtyFourPreferencesIs400) {
+  // A client may raise max_exhaustive_n, but 64 preferences cannot be
+  // enumerated as a 64-bit subset mask: typed rejection, not a hang.
+  StartServer();
+  Json body = Json::Object();
+  body.Set("algorithm", Json::Str("exhaustive"));
+  body.Set("base_query", Json::Str(kBaseSql));
+  body.Set("key_column", Json::Str("dblp.pid"));
+  body.Set("max_exhaustive_n", Json::Int(100));
+  Json prefs = Json::Array();
+  for (int i = 0; i < 64; ++i) {
+    Json p = Json::Object();
+    p.Set("predicate", Json::Str("dblp.year=" + std::to_string(1900 + i)));
+    p.Set("intensity", Json::Double(0.5));
+    prefs.Append(std::move(p));
+  }
+  body.Set("preferences", std::move(prefs));
+  auto reply = Fetch(port(), "POST", "/v1/alpha/enumerate", body.Dump());
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->status, 400) << reply->body;
+}
+
 TEST_F(HttpServerTest, RawProtocolGarbageGets400AndClose) {
   StartServer();
   auto fd = ConnectTcp("127.0.0.1", port());

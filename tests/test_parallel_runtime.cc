@@ -257,14 +257,6 @@ TEST(WordKernelsTest, ActiveMatchesScalarOnAllOps) {
               active.and_count(a.data(), b.data(), n));
     EXPECT_EQ(scalar.and3_count(a.data(), b.data(), c.data(), n),
               active.and3_count(a.data(), b.data(), c.data(), n));
-    for (size_t k : {1ul, 2ul, 3ul, 5ul}) {
-      std::vector<const uint64_t*> ops;
-      const std::vector<uint64_t>* sources[] = {&a, &b, &c};
-      for (size_t j = 0; j < k; ++j) ops.push_back(sources[j % 3]->data());
-      EXPECT_EQ(scalar.and_count_multi(ops.data(), k, n),
-                active.and_count_multi(ops.data(), k, n))
-          << "and_count_multi k=" << k << " n=" << n;
-    }
   }
 }
 
@@ -280,13 +272,12 @@ TEST(WordKernelsTest, AndToAllowsAliasedAccumulator) {
   EXPECT_EQ(a, expect);
 }
 
-TEST(WordKernelsTest, SelectRoutesSimdFlag) {
-  EXPECT_STREQ(SelectWordKernels(false).name, "scalar");
-  if (SimdKernelsCompiled()) {
-    EXPECT_STREQ(SelectWordKernels(true).name, "avx2");
-  } else {
-    EXPECT_STREQ(SelectWordKernels(true).name, "scalar");
-  }
+TEST(WordKernelsTest, ActiveKernelsFollowTheBuild) {
+  // The probe path's kernel choice is made at compile time: avx2 when the
+  // build compiles it in, the portable table under -DHYPRE_SIMD=OFF.
+  EXPECT_STREQ(ScalarWordKernels().name, "scalar");
+  EXPECT_STREQ(ActiveWordKernels().name,
+               SimdKernelsCompiled() ? "avx2" : "scalar");
 }
 
 // --- KeyBitmap first-touch constructor --------------------------------------

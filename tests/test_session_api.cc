@@ -3,11 +3,11 @@
 // The load-bearing guarantee: dispatching an algorithm BY NAME through
 // Session::Enumerate produces byte-identical records/tuples to calling the
 // algorithm's direct entry point on an equivalent enhancer — for all six
-// algorithms, with batching on and off, across thread counts. On top of
-// that: probe budgets truncate deterministically (and identically batched
-// vs scalar), streaming sinks see exactly the collected output, unknown
-// names fail cleanly, the session's engine cache makes repeat requests
-// leaf-query-free, and refresh pins the epoch after mutations.
+// algorithms, across thread counts and shard widths. On top of that: probe
+// budgets truncate deterministically (a budgeted stream is a prefix of the
+// unbudgeted one), streaming sinks see exactly the collected output,
+// unknown names fail cleanly, the session's engine cache makes repeat
+// requests leaf-query-free, and refresh pins the epoch after mutations.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -98,14 +98,13 @@ class SessionApiTest : public ::testing::Test {
 // --- The differential: Session output == direct entry-point output --------
 
 TEST_F(SessionApiTest, ByteIdenticalToDirectCallsAllSixAlgorithms) {
-  for (bool batching : {true, false}) {
+  for (size_t shard_words : {size_t{512}, size_t{1}}) {
     for (size_t num_threads : {size_t{1}, size_t{3}}) {
       core::ProbeOptions options;
-      options.batching = batching;
+      options.shard_words = shard_words;
       options.num_threads = num_threads;
-      std::string label = std::string("batching=") +
-                          (batching ? "on" : "off") + " threads=" +
-                          std::to_string(num_threads);
+      std::string label = "shard_words=" + std::to_string(shard_words) +
+                          " threads=" + std::to_string(num_threads);
       // A fresh direct enhancer per configuration; the session keeps
       // reusing ITS cached engine across all configurations, which is
       // exactly the sharing the equality must survive.
@@ -190,41 +189,66 @@ TEST_F(SessionApiTest, BudgetTruncatesCombineTwoDeterministically) {
   EXPECT_TRUE(capped.truncated);
   ASSERT_EQ(capped.records.size(), 4u);
   // The budgeted run's records are the generation-order prefix of the full
-  // run, and they are identical batched or scalar.
-  for (size_t i = 0; i < capped.records.size(); ++i) {
-    EXPECT_EQ(capped.records[i].predicate_sql, full.records[i].predicate_sql);
-    EXPECT_EQ(capped.records[i].num_tuples, full.records[i].num_tuples);
-  }
-  request.probe_options.batching = false;
-  ExpectRecordsEqual(Enumerate(request).records, capped.records,
-                     "combine-two budget scalar-vs-batched");
+  // run.
+  ExpectRecordsEqual(
+      capped.records,
+      std::vector<CombinationRecord>(full.records.begin(),
+                                     full.records.begin() + 4),
+      "combine-two budget prefix");
 
   // A budget exactly covering the run does not truncate.
-  request.probe_options.batching = true;
   request.probe_budget = 10;
   EnumerationResult exact = Enumerate(request);
   EXPECT_FALSE(exact.truncated);
   ExpectRecordsEqual(exact.records, full.records, "combine-two exact budget");
 }
 
-TEST_F(SessionApiTest, BudgetTruncatesEveryRecordAlgorithmIdentically) {
-  // For every record-producing algorithm: a small budget truncates, and the
-  // truncated output is identical with batching on and off (the budget is
-  // enforced at generation granularity on both paths).
+TEST_F(SessionApiTest, BudgetedStreamIsAPrefixOfTheUnbudgetedStream) {
+  // For the generation-ordered algorithms the budget is charged before
+  // probing (a generation prefix, or one bias-random check at a time), so
+  // a budgeted run's record-sink stream is a prefix of the unbudgeted
+  // run's stream, with the truncation flag set. Budgets are swept from 1
+  // up to the full run's spend.
   for (const char* algorithm :
-       {"exhaustive", "combine-two", "partially-combine-all", "bias-random",
-        "peps"}) {
+       {"exhaustive", "combine-two", "partially-combine-all", "bias-random"}) {
+    std::vector<CombinationRecord> full_stream;
     EnumerationRequest request = MakeRequest(algorithm);
     request.seed = 7;
-    request.probe_budget = 5;
-    EnumerationResult batched = Enumerate(request);
-    EXPECT_TRUE(batched.truncated) << algorithm;
-    request.probe_options.batching = false;
-    EnumerationResult scalar = Enumerate(request);
-    EXPECT_TRUE(scalar.truncated) << algorithm;
-    ExpectRecordsEqual(scalar.records, batched.records,
-                       std::string(algorithm) + " budget=5");
+    request.record_sink = [&](const CombinationRecord& record) {
+      full_stream.push_back(record);
+    };
+    EnumerationResult full = Enumerate(request);
+    ASSERT_FALSE(full.truncated) << algorithm;
+    ASSERT_FALSE(full_stream.empty()) << algorithm;
+
+    for (size_t budget = 1;; ++budget) {
+      std::vector<CombinationRecord> stream;
+      request.probe_budget = budget;
+      request.record_sink = [&](const CombinationRecord& record) {
+        stream.push_back(record);
+      };
+      EnumerationResult capped = Enumerate(request);
+      std::string label =
+          std::string(algorithm) + " budget=" + std::to_string(budget);
+      ASSERT_LE(stream.size(), full_stream.size()) << label;
+      ExpectRecordsEqual(
+          stream,
+          std::vector<CombinationRecord>(full_stream.begin(),
+                                         full_stream.begin() + stream.size()),
+          label);
+      if (!capped.truncated) {
+        ExpectRecordsEqual(stream, full_stream, label + " (complete)");
+        break;
+      }
+      ASSERT_LT(budget, 1000u) << label;
+    }
   }
+
+  // PEPS re-ranks its truncated pair table, so its budgeted output is not a
+  // prefix; a small budget still truncates.
+  EnumerationRequest peps = MakeRequest("peps");
+  peps.probe_budget = 5;
+  EXPECT_TRUE(Enumerate(peps).truncated);
 }
 
 TEST_F(SessionApiTest, BudgetCountsBiasRandomChecks) {
@@ -372,12 +396,6 @@ TEST_F(SessionApiTest, ProbeStatsReportBatchShape) {
   EXPECT_EQ(batched.stats.num_batched_probes, 10u);  // C(5,2)
   EXPECT_GE(batched.stats.num_shard_passes, batched.stats.num_batches);
   EXPECT_GE(batched.stats.num_cache_hits, batched.stats.num_batched_probes);
-
-  core::ProbeOptions scalar;
-  scalar.batching = false;
-  EnumerationResult unbatched = Enumerate(MakeRequest("combine-two", scalar));
-  EXPECT_EQ(unbatched.stats.num_batches, 0u);
-  EXPECT_EQ(unbatched.stats.num_batched_probes, 0u);
 }
 
 TEST_F(SessionApiTest, RefreshPinsEpochAfterMutations) {
