@@ -66,7 +66,8 @@ void RunForUser(const Workload& w, core::UserId uid, const char* tag) {
   std::vector<core::PreferenceAtom> quant_atoms =
       w.Atoms(quant_graph, uid, 60);
   std::vector<core::GradedList> lists_q = BuildLists(enhancer, quant_atoms);
-  auto ta_q = Unwrap(core::ThresholdAlgorithmTopK(lists_q, kK));
+  auto ta_q = Unwrap(
+      core::ThresholdAlgorithmTopK(enhancer.probe_engine(), lists_q, kK));
   core::Peps peps_q(&quant_atoms, &enhancer);
   auto peps_top_q = Unwrap(peps_q.TopK(kK, core::PepsMode::kComplete));
   std::printf("quantitative-only: similarity %.0f%%, rank agreement %.0f%% "

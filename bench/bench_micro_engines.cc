@@ -616,6 +616,31 @@ void BM_PepsOrderWarmSession(benchmark::State& state) {
 }
 BENCHMARK(BM_PepsOrderWarmSession)->Unit(benchmark::kMicrosecond);
 
+void BM_TaTopKWarmSession(benchmark::State& state) {
+  // Warm TA top-10 over the same 24 atoms: the venue and author graded
+  // lists are rebuilt from the cached leaf bitmaps on every request.
+  DeltaBench* b = GetDeltaBench();
+  api::EnumerationRequest request;
+  request.algorithm = "ta";
+  request.base_query = b->base;
+  request.key_column = "dblp.pid";
+  request.preferences = b->atoms;
+  request.k = 10;
+  if (!b->session->Enumerate(request).ok()) {
+    state.SkipWithError("session warmup failed");
+    return;
+  }
+  for (auto _ : state) {
+    auto result = b->session->Enumerate(request);
+    if (!result.ok()) {
+      state.SkipWithError("session Enumerate failed");
+      return;
+    }
+    benchmark::DoNotOptimize(result->top_k.size());
+  }
+}
+BENCHMARK(BM_TaTopKWarmSession)->Unit(benchmark::kMicrosecond);
+
 void BM_PepsOrderWarmSessionTraced(benchmark::State& state) {
   // The same warm request with a per-request span trace attached — the
   // telemetry overhead acceptance pits this (and the untraced Session

@@ -1,42 +1,62 @@
 #include "hypre/algorithms/threshold_algorithm.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <unordered_map>
 
 #include "hypre/intensity.h"
 
 namespace hypre {
 namespace core {
 
-void GradedList::AddGrade(const reldb::Value& key, double grade) {
-  auto [it, inserted] = grades_.emplace(key, grade);
-  if (!inserted) it->second = CombineAnd(it->second, grade);
+void GradedList::AddGrade(uint32_t id, double grade) {
+  if (id >= grades_.size()) {
+    grades_.resize(id + 1);
+    present_.resize(id + 1);
+  }
+  if (present_[id]) {
+    grades_[id] = CombineAnd(grades_[id], grade);
+    return;
+  }
+  present_[id] = 1;
+  grades_[id] = grade;
+  members_.push_back(id);
 }
 
-void GradedList::Finalize() {
-  sorted_.assign(grades_.begin(), grades_.end());
-  std::sort(sorted_.begin(), sorted_.end(),
-            [](const auto& a, const auto& b) {
-              if (a.second != b.second) return a.second > b.second;
-              return a.first.Compare(b.first) < 0;
-            });
+bool GradedList::ReadAfter(const Pending& a, const Pending& b) {
+  if (a.grade != b.grade) return a.grade < b.grade;
+  return a.rank > b.rank;
 }
 
-std::optional<double> GradedList::Grade(const reldb::Value& key) const {
-  auto it = grades_.find(key);
-  if (it == grades_.end()) return std::nullopt;
-  return it->second;
+void GradedList::Finalize(const ProbeEngine& engine) {
+  sorted_.clear();
+  pending_.clear();
+  pending_.reserve(members_.size());
+  for (uint32_t id : members_) {
+    pending_.push_back({grades_[id], engine.KeyRank(id), id});
+  }
+  std::make_heap(pending_.begin(), pending_.end(), ReadAfter);
+}
+
+void GradedList::SortThrough(size_t depth) const {
+  while (sorted_.size() <= depth && !pending_.empty()) {
+    std::pop_heap(pending_.begin(), pending_.end(), ReadAfter);
+    sorted_.push_back(pending_.back().id);
+    pending_.pop_back();
+  }
 }
 
 Result<std::vector<RankedTuple>> ThresholdAlgorithmTopK(
-    const std::vector<GradedList>& lists, size_t k,
-    size_t* sorted_accesses, size_t max_depth, bool* budget_capped) {
+    const ProbeEngine& engine, const std::vector<GradedList>& lists,
+    size_t k, size_t* sorted_accesses, size_t max_depth,
+    bool* budget_capped) {
   if (lists.empty()) {
     return Status::InvalidArgument("TA requires at least one graded list");
   }
   size_t natural_depth = 0;
+  size_t num_ids = 0;
   for (const auto& list : lists) {
     natural_depth = std::max(natural_depth, list.size());
+    num_ids = std::max(num_ids, list.num_ids());
   }
   // A depth cap (the API layer's probe budget, in sorted-access rounds)
   // stops the descent early; the capped flag distinguishes that from the
@@ -46,28 +66,45 @@ Result<std::vector<RankedTuple>> ThresholdAlgorithmTopK(
 
   // Aggregate grade of an object: f_and over its grades, absent grades
   // contributing 0 (f_and(p, 0) = p).
-  auto aggregate = [&](const reldb::Value& key) {
+  auto aggregate = [&](uint32_t id) {
     double acc = 0.0;
     for (const auto& list : lists) {
-      auto grade = list.Grade(key);
+      auto grade = list.Grade(id);
       if (grade) acc = CombineAnd(acc, *grade);
     }
     return acc;
   };
 
-  std::vector<RankedTuple> top;  // kept sorted ascending by intensity
-  std::unordered_set<reldb::Value, reldb::ValueHash> seen;
+  // An object TA has seen: its aggregate grade and when it was first seen.
+  struct Candidate {
+    double intensity;
+    uint32_t seq;
+    uint32_t id;
+  };
+  // For k > 0, `top` is a k-bounded heap whose front is the candidate to
+  // evict: the lowest intensity, and among ties the one seen last.
+  auto better = [](const Candidate& a, const Candidate& b) {
+    if (a.intensity != b.intensity) return a.intensity > b.intensity;
+    return a.seq < b.seq;
+  };
+  std::vector<Candidate> top;
+  std::vector<uint8_t> seen(num_ids);
+  uint32_t seq = 0;
 
-  auto consider = [&](const reldb::Value& key) {
-    if (!seen.insert(key).second) return;
-    RankedTuple tuple{key, aggregate(key)};
-    auto pos = std::lower_bound(
-        top.begin(), top.end(), tuple,
-        [](const RankedTuple& a, const RankedTuple& b) {
-          return a.intensity < b.intensity;
-        });
-    top.insert(pos, std::move(tuple));
-    if (k > 0 && top.size() > k) top.erase(top.begin());
+  auto consider = [&](uint32_t id) {
+    if (seen[id]) return;
+    seen[id] = 1;
+    Candidate candidate{aggregate(id), seq++, id};
+    if (k == 0 || top.size() < k) {
+      top.push_back(candidate);
+      if (k > 0) std::push_heap(top.begin(), top.end(), better);
+      return;
+    }
+    // The newcomer is seen last, so it loses every tie with the front.
+    if (!better(candidate, top.front())) return;
+    std::pop_heap(top.begin(), top.end(), better);
+    top.back() = candidate;
+    std::push_heap(top.begin(), top.end(), better);
   };
 
   size_t depth = 0;
@@ -77,8 +114,8 @@ Result<std::vector<RankedTuple>> ThresholdAlgorithmTopK(
     double threshold = 0.0;
     for (const auto& list : lists) {
       if (depth < list.size()) {
-        const auto& [key, grade] = list.at(depth);
-        consider(key);
+        const auto [id, grade] = list.at(depth);
+        consider(id);
         threshold = CombineAnd(threshold, grade);
       }
       // Exhausted lists contribute 0 to the threshold: f_and identity.
@@ -95,9 +132,15 @@ Result<std::vector<RankedTuple>> ThresholdAlgorithmTopK(
     *budget_capped = true;
   }
 
-  std::vector<RankedTuple> result(top.rbegin(), top.rend());
-  SortRanked(&result);
-  if (k > 0 && result.size() > k) result.resize(k);
+  // Rank order: intensity descending, ties by key (the rank replaces the
+  // no longer needed sequence number).
+  for (Candidate& candidate : top) candidate.seq = engine.KeyRank(candidate.id);
+  std::sort(top.begin(), top.end(), better);
+  std::vector<RankedTuple> result;
+  result.reserve(top.size());
+  for (const Candidate& candidate : top) {
+    result.push_back({engine.KeyAt(candidate.id), candidate.intensity});
+  }
   return result;
 }
 
@@ -105,17 +148,18 @@ Result<std::vector<GradedList>> BuildGradedLists(
     const ProbeEngine& engine, const std::vector<PreferenceAtom>& atoms,
     const std::function<std::string(const PreferenceAtom&)>& list_key) {
   std::vector<GradedList> lists;
+  if (atoms.empty()) return lists;
+  HYPRE_ASSIGN_OR_RETURN(size_t num_ids, engine.UniverseSize());
   std::unordered_map<std::string, size_t> index_of;
   for (const auto& atom : atoms) {
     std::string name = list_key ? list_key(atom) : atom.attribute_key;
     auto [it, inserted] = index_of.emplace(name, lists.size());
-    if (inserted) lists.emplace_back(name);
+    if (inserted) lists.emplace_back(name, num_ids);
     GradedList& list = lists[it->second];
     HYPRE_ASSIGN_OR_RETURN(KeyBitmap bits, engine.EvalBitmap(atom.expr));
-    bits.ForEachSet(
-        [&](uint32_t id) { list.AddGrade(engine.KeyAt(id), atom.intensity); });
+    bits.ForEachSet([&](uint32_t id) { list.AddGrade(id, atom.intensity); });
   }
-  for (auto& list : lists) list.Finalize();
+  for (auto& list : lists) list.Finalize(engine);
   return lists;
 }
 

@@ -139,9 +139,9 @@ class ThresholdAlgorithmEnumerator : public CombinationEnumerator {
                     atoms.begin() + static_cast<std::ptrdiff_t>(admitted));
       list_atoms = &prefix;
     }
-    HYPRE_ASSIGN_OR_RETURN(
-        std::vector<core::GradedList> lists,
-        core::BuildGradedLists(ctx.enhancer->probe_engine(), *list_atoms));
+    const core::ProbeEngine& engine = ctx.enhancer->probe_engine();
+    HYPRE_ASSIGN_OR_RETURN(std::vector<core::GradedList> lists,
+                           core::BuildGradedLists(engine, *list_atoms));
     size_t max_depth = 0;
     if (ctx.control.budget != nullptr && ctx.control.budget->limited()) {
       max_depth = ctx.control.budget->remaining();
@@ -154,8 +154,8 @@ class ThresholdAlgorithmEnumerator : public CombinationEnumerator {
     bool capped = false;
     HYPRE_ASSIGN_OR_RETURN(
         result->top_k,
-        core::ThresholdAlgorithmTopK(lists, ctx.request->k, &sorted_accesses,
-                                     max_depth, &capped));
+        core::ThresholdAlgorithmTopK(engine, lists, ctx.request->k,
+                                     &sorted_accesses, max_depth, &capped));
     ctx.control.Admit(sorted_accesses);  // always fits: max_depth bounded it
     if (capped && ctx.control.truncated != nullptr) {
       *ctx.control.truncated = true;

@@ -207,6 +207,11 @@ class ProbeEngine {
   /// UniverseSize()/UniverseBitmap() call.
   const reldb::Value& KeyAt(uint32_t id) const { return dict_.value(id); }
 
+  /// \brief The rank of a dense id's key in the Value total order: for live
+  /// ids, KeyRank(a) < KeyRank(b) exactly when KeyAt(a) sorts before
+  /// KeyAt(b). Same validity as KeyAt; stable while an epoch pin is held.
+  uint32_t KeyRank(uint32_t id) const { return rank_of_id_[id]; }
+
   /// \brief The keys of a bitmap, sorted by the Value total order
   /// (deterministic, same order MatchingKeys uses).
   std::vector<reldb::Value> KeysOf(const KeyBitmap& bits) const;

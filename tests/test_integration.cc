@@ -150,25 +150,26 @@ TEST_F(IntegrationTest, PepsMatchesTaOnQuantitativeOnlyInput) {
   // Ground truth by brute force == what TA computes over per-attribute
   // lists (test_threshold_algorithm verifies TA == brute force separately;
   // here we build TA's lists from the same preferences).
+  const ProbeEngine& engine = enhancer.probe_engine();
   GradedList venue_list("venue");
   GradedList author_list("author");
   for (const auto& atom : atoms) {
-    auto keys = enhancer.MatchingKeys(atom.expr);
-    ASSERT_TRUE(keys.ok());
+    auto bits = engine.EvalBitmap(atom.expr);
+    ASSERT_TRUE(bits.ok());
     bool is_venue = atom.attribute_key.find("venue") != std::string::npos;
-    for (const auto& key : *keys) {
+    bits->ForEachSet([&](uint32_t id) {
       if (is_venue) {
-        venue_list.AddGrade(key, atom.intensity);
+        venue_list.AddGrade(id, atom.intensity);
       } else {
-        author_list.AddGrade(key, atom.intensity);
+        author_list.AddGrade(id, atom.intensity);
       }
-    }
+    });
   }
-  venue_list.Finalize();
-  author_list.Finalize();
+  venue_list.Finalize(engine);
+  author_list.Finalize(engine);
 
   constexpr size_t kK = 25;
-  auto ta = ThresholdAlgorithmTopK({venue_list, author_list}, kK);
+  auto ta = ThresholdAlgorithmTopK(engine, {venue_list, author_list}, kK);
   ASSERT_TRUE(ta.ok());
 
   Peps peps(&atoms, &enhancer);

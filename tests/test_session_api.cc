@@ -21,6 +21,7 @@
 #include "hypre/algorithms/peps.h"
 #include "hypre/algorithms/threshold_algorithm.h"
 #include "hypre/api/session.h"
+#include "ta_oracle.h"
 #include "test_fixtures.h"
 
 namespace hypre {
@@ -161,16 +162,26 @@ TEST_F(SessionApiTest, ByteIdenticalToDirectCallsAllSixAlgorithms) {
       {
         EnumerationRequest request = MakeRequest("ta", options);
         request.k = 3;
-        auto lists =
-            core::BuildGradedLists(direct.probe_engine(), prefs_);
+        const core::ProbeEngine& engine = direct.probe_engine();
+        auto lists = core::BuildGradedLists(engine, prefs_);
         ASSERT_TRUE(lists.ok());
-        ExpectTuplesEqual(Enumerate(request).top_k,
-                          *core::ThresholdAlgorithmTopK(*lists, 3),
+        auto oracle = core::ta_oracle::BuildGradedLists(engine, prefs_);
+        ASSERT_TRUE(oracle.ok());
+        EnumerationResult top3 = Enumerate(request);
+        ExpectTuplesEqual(top3.top_k,
+                          *core::ThresholdAlgorithmTopK(engine, *lists, 3),
                           "ta k=3 " + label);
+        ExpectTuplesEqual(top3.top_k,
+                          *core::ta_oracle::ThresholdAlgorithmTopK(*oracle, 3),
+                          "ta k=3 oracle " + label);
         request.k = 0;
-        ExpectTuplesEqual(Enumerate(request).top_k,
-                          *core::ThresholdAlgorithmTopK(*lists, 0),
+        EnumerationResult all = Enumerate(request);
+        ExpectTuplesEqual(all.top_k,
+                          *core::ThresholdAlgorithmTopK(engine, *lists, 0),
                           "ta k=0 " + label);
+        ExpectTuplesEqual(all.top_k,
+                          *core::ta_oracle::ThresholdAlgorithmTopK(*oracle, 0),
+                          "ta k=0 oracle " + label);
       }
     }
   }
@@ -277,6 +288,19 @@ TEST_F(SessionApiTest, BudgetCapsTaSortedAccessDepth) {
   EnumerationResult capped = Enumerate(request);
   EXPECT_TRUE(capped.truncated);
   EXPECT_LT(capped.top_k.size(), full.top_k.size());
+  // The capped ranking is exactly the oracle's after one round.
+  core::QueryEnhancer direct(&db_, MiniBaseQuery(), "dblp.pid");
+  auto oracle = core::ta_oracle::BuildGradedLists(direct.probe_engine(),
+                                                  prefs_);
+  ASSERT_TRUE(oracle.ok());
+  size_t oracle_rounds = 0;
+  bool oracle_capped = false;
+  auto expected = core::ta_oracle::ThresholdAlgorithmTopK(
+      *oracle, 0, &oracle_rounds, 1, &oracle_capped);
+  ASSERT_TRUE(expected.ok());
+  ExpectTuplesEqual(capped.top_k, *expected, "ta capped vs oracle");
+  EXPECT_EQ(oracle_rounds, 1u);
+  EXPECT_TRUE(oracle_capped);
 
   // Budget smaller than the atom list: even the graded lists are partial.
   request.probe_budget = 2;
