@@ -797,6 +797,55 @@ BENCHMARK(BM_UpdateChurnIncrementalRefresh)
     ->Arg(128)
     ->Unit(benchmark::kMillisecond);
 
+/// Applies `n/4` mutates shaped like servebench's write_mix ones: append a
+/// paper plus two author links, then delete one random live author link.
+/// Link rows are not key-table rows, so every delete re-joins the deleted
+/// row to find the keys it supported.
+void ApplyLinkChurn(DeltaBench* b, size_t n) {
+  static const char* venues[] = {"SIGMOD", "VLDB", "PVLDB", "PODS"};
+  reldb::Table* dblp = b->w->db.GetTable("dblp");
+  reldb::Table* da = b->w->db.GetTable("dblp_author");
+  for (size_t i = 0; i < n / 4; ++i) {
+    int64_t pid = b->next_pid++;
+    dblp->AppendUnchecked(
+        reldb::Row{reldb::Value::Int(pid), reldb::Value::Str("Paper"),
+                   reldb::Value::Int(2026),
+                   reldb::Value::Str(venues[b->rng.NextBounded(4)])});
+    for (int link = 0; link < 2; ++link) {
+      da->AppendUnchecked(reldb::Row{
+          reldb::Value::Int(pid),
+          reldb::Value::Int(1 + static_cast<int64_t>(b->rng.NextBounded(32)))});
+    }
+    for (int attempts = 0; attempts < 64; ++attempts) {
+      reldb::RowId id = b->rng.NextBounded(da->num_rows());
+      if (!da->is_deleted(id)) {
+        Status st = da->Delete(id);
+        if (!st.ok()) Die(st);
+        break;
+      }
+    }
+  }
+}
+
+void BM_UpdateChurnLinkDeletes(benchmark::State& state) {
+  DeltaBench* b = GetDeltaBench();
+  size_t churn = static_cast<size_t>(state.range(0));
+  for (auto _ : state) {
+    state.PauseTiming();
+    ApplyLinkChurn(b, churn);
+    state.ResumeTiming();
+    auto epoch = b->enhancer->Refresh();
+    if (!epoch.ok()) Die(epoch.status());
+    core::BatchProber batch(b->prober.get());
+    benchmark::DoNotOptimize(batch.CountBatch({b->probe_combo}).value());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * churn));
+}
+BENCHMARK(BM_UpdateChurnLinkDeletes)
+    ->Arg(16)
+    ->Arg(128)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_UpdateChurnFullRebuild(benchmark::State& state) {
   DeltaBench* b = GetDeltaBench();
   size_t churn = static_cast<size_t>(state.range(0));

@@ -81,7 +81,7 @@ uint32_t DeltaEngine::InternKey(const Value& key) {
     id = engine_->dict_.Intern(key);
     ++stats_.keys_added;
   }
-  key_order_dirty_ = true;
+  changed_ids_.push_back(id);
   return id;
 }
 
@@ -272,7 +272,7 @@ Result<uint64_t> DeltaEngine::Refresh() {
   stats_.journal_cursor = end;
   if (relevant == 0) return stats_.epoch;
 
-  key_order_dirty_ = false;
+  changed_ids_.clear();
   std::vector<reldb::ExprPtr> leaf_exprs;
   std::vector<KeyBitmap*> leaf_bits;
   SnapshotLeaves(&leaf_exprs, &leaf_bits);
@@ -300,7 +300,10 @@ Result<uint64_t> DeltaEngine::Refresh() {
 
   // Counts change under any applied mutation; memoized counts must go.
   engine_->count_cache_.clear();
-  if (!needs_rebuild && key_order_dirty_) engine_->RebuildKeyOrder();
+  if (!needs_rebuild && !changed_ids_.empty()) {
+    engine_->MergeKeyOrder(std::move(changed_ids_));
+    changed_ids_.clear();
+  }
 
   // Epoch compaction once masked tombstones dominate the id space.
   if (!needs_rebuild && engine_->dict_.size() > 0) {

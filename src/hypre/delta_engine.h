@@ -12,23 +12,29 @@
 //    since its cursor; mutations on tables outside the base query are
 //    skipped without an epoch change.
 //  * Append pass. New joined tuples are exactly the tuples involving at
-//    least one appended row, so one watermark-restricted executor pass per
-//    affected slot (Executor::ForEachAppendedMatch) evaluates the delta
-//    rows against every cached leaf. New keys get dense ids — recycled from
-//    tombstoned ids when available (stale leaf bits scrubbed first),
-//    otherwise tail-grown with every cached bitmap resized once. Appends
-//    only ever ADD memberships, so re-emitted tuples are harmless.
+//    least one appended row, so one executor pass per affected slot
+//    (Executor::ForEachAppendedMatch), rooted at that slot's new rows,
+//    evaluates the delta rows against every cached leaf. New keys get
+//    dense ids — recycled from tombstoned ids when available (stale leaf
+//    bits scrubbed first), otherwise tail-grown with every cached bitmap
+//    resized once. Appends only ever ADD memberships, so re-emitted tuples
+//    are harmless.
 //  * Delete pass. A tombstoned row names the keys whose memberships may
 //    have lost a supporting tuple: rows of the key column's own table carry
 //    their key directly; rows of joined tables are re-joined in their
-//    pre-delete state (Executor::ForEachMatchOfRow with the slice's deleted
-//    rows made visible). Each affected key is then recomputed exactly with
+//    pre-delete state, starting from the deleted row itself
+//    (Executor::ForEachMatchOfRow with the slice's deleted rows made
+//    visible). Each affected key is then recomputed exactly with
 //    one key-pinned query — alive keys get their leaf bits set/cleared
 //    per-leaf, dead keys leave the universe: their live-mask bit clears,
 //    their dictionary mapping is forgotten, and their dense id joins the
 //    free list. Stale leaf bits at tombstoned ids are NOT scrubbed eagerly;
 //    every probe path ANDs the live mask instead (ProbeEngine::Eval,
 //    CombinationProber::Count/BitsInto, BatchProber's compiled mask group).
+//  * Key order. The ids the append pass added or recycled are merged into
+//    the engine's value-sorted key order (ProbeEngine::MergeKeyOrder), at
+//    O(n) integer moves plus O(k log n) compares for k such ids, instead
+//    of re-sorting every key.
 //  * Epoch compaction. Once tombstoned ids exceed
 //    DeltaOptions::rebuild_tombstone_ratio of the universe, Refresh falls
 //    back to a full epoch rebuild (clear + lazy re-intern) — the compaction
@@ -139,8 +145,9 @@ class DeltaEngine {
   ProbeEngine* engine_;
   DeltaOptions options_;
   Stats stats_;
-  // True once ApplyAppends grew or recycled ids (key order must be rebuilt).
-  bool key_order_dirty_ = false;
+  // Ids this Refresh appended or recycled: the only ones whose place in the
+  // key order changes (merged in by ProbeEngine::MergeKeyOrder).
+  std::vector<uint32_t> changed_ids_;
 };
 
 }  // namespace core

@@ -1,6 +1,8 @@
 #include "hypre/probe_engine.h"
 
 #include <algorithm>
+#include <cassert>
+#include <numeric>
 #include <unordered_set>
 #include <utility>
 
@@ -118,6 +120,14 @@ using reldb::CompareOp;
 using reldb::ExprKind;
 
 namespace {
+
+/// Dense ids 0..n-1: every key is "changed" when the key order is built
+/// from scratch.
+std::vector<uint32_t> AllIds(size_t n) {
+  std::vector<uint32_t> ids(n);
+  std::iota(ids.begin(), ids.end(), 0u);
+  return ids;
+}
 
 /// Flips a comparison operator for the mirrored `literal op column` form.
 CompareOp MirrorOp(CompareOp op) {
@@ -244,21 +254,44 @@ Status ProbeEngine::EnsureUniverseLocked() const {
   HYPRE_RETURN_NOT_OK(
       executor_.InternDistinctValues(base_query_, key_column_, &dict_));
   universe_ = KeyBitmap(dict_.size(), /*all_set=*/true);
-  RebuildKeyOrder();
+  MergeKeyOrder(AllIds(dict_.size()));
   universe_ready_.store(true, std::memory_order_release);
   return Status::OK();
 }
 
-void ProbeEngine::RebuildKeyOrder() const {
-  sorted_ids_.resize(dict_.size());
-  for (uint32_t id = 0; id < dict_.size(); ++id) sorted_ids_[id] = id;
-  // Tombstoned ids keep their stale value and sort wherever it lands; they
-  // never surface because every probe result is masked by the live mask.
-  std::sort(sorted_ids_.begin(), sorted_ids_.end(),
-            [&](uint32_t a, uint32_t b) {
-              return dict_.value(a).Compare(dict_.value(b)) < 0;
-            });
-  rank_of_id_.resize(dict_.size());
+void ProbeEngine::MergeKeyOrder(std::vector<uint32_t> changed) const {
+  // Invariant: sorted_ids_ orders EVERY id by its dictionary value, live or
+  // tombstoned. A tombstoned id keeps its stale value and rank; it never
+  // surfaces because every probe result is masked by the live mask.
+  auto less = [&](uint32_t a, uint32_t b) {
+    return dict_.value(a).Compare(dict_.value(b)) < 0;
+  };
+  // Rebound ids leave their old rank; they re-enter at their new value.
+  constexpr uint32_t kDropped = ~uint32_t{0};
+  for (uint32_t id : changed) {
+    if (id < rank_of_id_.size()) sorted_ids_[rank_of_id_[id]] = kDropped;
+  }
+  sorted_ids_.erase(
+      std::remove(sorted_ids_.begin(), sorted_ids_.end(), kDropped),
+      sorted_ids_.end());
+  std::sort(changed.begin(), changed.end(), less);
+  // Merge from the back, in place: each changed id lands after every
+  // kept id that does not sort above it (found by binary search), and the
+  // kept ids between two landing points move up in one block.
+  size_t kept = sorted_ids_.size();
+  sorted_ids_.resize(kept + changed.size());
+  size_t out = sorted_ids_.size();
+  auto begin = sorted_ids_.begin();
+  for (size_t c = changed.size(); c-- > 0;) {
+    size_t at = static_cast<size_t>(
+        std::upper_bound(begin, begin + kept, changed[c], less) - begin);
+    std::move_backward(begin + at, begin + kept, begin + out);
+    out -= kept - at;
+    sorted_ids_[--out] = changed[c];
+    kept = at;
+  }
+  assert(sorted_ids_.size() == dict_.size());
+  rank_of_id_.resize(sorted_ids_.size());
   for (uint32_t rank = 0; rank < sorted_ids_.size(); ++rank) {
     rank_of_id_[sorted_ids_[rank]] = rank;
   }
@@ -361,7 +394,7 @@ Status ProbeEngine::RestoreSnapshotImage(const EngineSnapshotImage& image) {
     std::string key = CanonicalKey(*p.expr);
     leaf_cache_[key] = LeafEntry{std::move(p.expr), std::move(bits)};
   }
-  RebuildKeyOrder();
+  MergeKeyOrder(AllIds(num_keys));
   universe_ready_.store(true, std::memory_order_release);
   delta_->OnSnapshotRestored(image.journal_cursor, image.epoch);
   return Status::OK();

@@ -484,9 +484,14 @@ class ProbeEngine {
   Status EnsureUniverseLocked() const;
   Result<const KeyBitmap*> LeafBitmap(const reldb::ExprPtr& expr) const;
   Result<KeyBitmap> Eval(const reldb::ExprPtr& expr) const;
-  /// Rebuilds sorted_ids_/rank_of_id_ from the dictionary (after the delta
-  /// engine added or recycled keys).
-  void RebuildKeyOrder() const;
+  /// Brings sorted_ids_/rank_of_id_ up to date after the ids in `changed`
+  /// were appended past the current order or rebound to a new value (it
+  /// must name every id the order does not hold yet, each once). Rebound ids leave
+  /// their old rank, then every changed id is merged in by binary search:
+  /// O(n) integer moves plus O(k log n) Value compares for k changed ids.
+  /// From an empty order (every id changed) this is one full sort, so the
+  /// universe scan, snapshot restore and Refresh share it.
+  void MergeKeyOrder(std::vector<uint32_t> changed) const;
   /// Counts `n` leaf materializations into the thread's active per-request
   /// collector, or the engine counter when none is installed.
   void NoteLeafQueries(size_t n) const {

@@ -152,8 +152,6 @@ class SingleRowAccessor : public RowAccessor {
     return slot_->table->row(row_)[static_cast<size_t>(col)];
   }
 
-  void set_row(RowId row) { row_ = row; }
-
  private:
   const Slot* slot_;
   RowId row_;
@@ -325,48 +323,62 @@ std::optional<std::vector<RowId>> TryIndexCandidates(const Slot& slot,
   }
 }
 
+/// One equi-join edge of the query's join tree: slot `left`'s column
+/// `left_col` equals slot `right`'s column `right_col`, where `right` is a
+/// JOIN's own table and `left` the earlier slot its left column names.
+struct JoinEdge {
+  size_t left, left_col;
+  size_t right, right_col;
+};
+
 struct PlannedQuery {
   std::vector<Slot> slots;
+  // One edge per JOIN, in query order; edge j introduces slot j + 1.
+  std::vector<JoinEdge> edges;
   // Conjuncts that reference exactly one slot, grouped by slot.
   std::vector<std::vector<ExprPtr>> slot_conjuncts;
   // Conjuncts that span slots; evaluated after the joins.
   std::vector<ExprPtr> residual;
 };
 
-/// Per-slot candidate restrictions for the delta-maintenance passes. The
-/// default restriction is "all live rows" — tombstoned rows are always
-/// skipped unless explicitly made visible.
+/// Where a delta pass starts its join walk. The delta rows (one pinned row,
+/// or every row at or above an append watermark) sit in slot `root`; every
+/// other slot is reached from them through the join tree. Tombstoned rows
+/// are skipped unless pinned or listed in `extra_visible`.
 struct ScanRestriction {
-  // Restrict this slot to exactly pinned_row (visible even if tombstoned).
-  int pinned_slot = -1;
-  RowId pinned_row = 0;
-  // Restrict this slot to row ids >= min_row (the append watermark).
-  int min_slot = -1;
-  RowId min_row = 0;
+  size_t root = 0;
+  // Restrict the root to exactly `row` (visible even if tombstoned);
+  // otherwise to row ids >= `row` (the append watermark).
+  bool pinned = false;
+  RowId row = 0;
   // Tombstoned rows to treat as visible, keyed by table name (pre-delete
   // state reconstruction).
   const std::unordered_map<std::string, std::vector<RowId>>* extra_visible =
       nullptr;
 };
 
+/// The tombstoned rows `restriction` makes visible in `slot`, or null.
+const std::vector<RowId>* ExtraVisibleRows(const Slot& slot,
+                                           const ScanRestriction* restriction) {
+  if (restriction == nullptr || restriction->extra_visible == nullptr) {
+    return nullptr;
+  }
+  auto it = restriction->extra_visible->find(slot.name);
+  return it == restriction->extra_visible->end() ? nullptr : &it->second;
+}
+
 /// True if `id` of `slot` may appear in a scan under `restriction`.
 bool RowVisible(const Slot& slot, size_t slot_idx, RowId id,
                 const ScanRestriction* restriction) {
   if (!slot.table->is_deleted(id)) return true;
   if (restriction == nullptr) return false;
-  if (restriction->pinned_slot == static_cast<int>(slot_idx) &&
-      restriction->pinned_row == id) {
+  if (restriction->pinned && restriction->root == slot_idx &&
+      restriction->row == id) {
     return true;
   }
-  if (restriction->extra_visible != nullptr) {
-    auto it = restriction->extra_visible->find(slot.name);
-    if (it != restriction->extra_visible->end()) {
-      for (RowId visible : it->second) {
-        if (visible == id) return true;
-      }
-    }
-  }
-  return false;
+  const std::vector<RowId>* extra = ExtraVisibleRows(slot, restriction);
+  return extra != nullptr &&
+         std::find(extra->begin(), extra->end(), id) != extra->end();
 }
 
 Result<PlannedQuery> Plan(const Database& db, const Query& query) {
@@ -383,6 +395,16 @@ Result<PlannedQuery> Plan(const Database& db, const Query& query) {
             "self-joins (duplicate table in FROM) are not supported");
       }
     }
+    // The left column may name any table already in scope.
+    HYPRE_ASSIGN_OR_RETURN(auto left_loc,
+                           ResolveQualified(plan.slots, join.left_column));
+    int right_col = right->schema().FindColumn(join.right_column);
+    if (right_col < 0) {
+      return Status::NotFound("no column '" + join.right_column +
+                              "' in table '" + join.right_table + "'");
+    }
+    plan.edges.push_back({left_loc.first, left_loc.second, plan.slots.size(),
+                          static_cast<size_t>(right_col)});
     plan.slots.push_back({right, join.right_table});
   }
   plan.slot_conjuncts.resize(plan.slots.size());
@@ -402,6 +424,17 @@ Result<PlannedQuery> Plan(const Database& db, const Query& query) {
   return plan;
 }
 
+/// True if row `id` of `slot` satisfies every one of the slot's conjuncts.
+Result<bool> RowPasses(const Slot& slot, const std::vector<ExprPtr>& conj,
+                       RowId id) {
+  SingleRowAccessor accessor(&slot, id);
+  for (const auto& c : conj) {
+    HYPRE_ASSIGN_OR_RETURN(bool v, Evaluate(*c, accessor));
+    if (!v) return false;
+  }
+  return true;
+}
+
 /// Computes the filtered candidate row ids for one slot: index probe from the
 /// first index-usable conjunct (or the restriction's pin), then residual
 /// per-row evaluation of all of the slot's conjuncts. Tombstoned rows are
@@ -410,18 +443,13 @@ Result<std::vector<RowId>> SlotCandidates(const Slot& slot,
                                           const std::vector<ExprPtr>& conj,
                                           size_t slot_idx,
                                           const ScanRestriction* restriction) {
-  bool pinned = restriction != nullptr &&
-                restriction->pinned_slot == static_cast<int>(slot_idx);
-  RowId min_row = 0;
-  if (restriction != nullptr &&
-      restriction->min_slot == static_cast<int>(slot_idx)) {
-    min_row = restriction->min_row;
-  }
+  bool is_root = restriction != nullptr && restriction->root == slot_idx;
+  RowId min_row = is_root && !restriction->pinned ? restriction->row : 0;
   std::vector<RowId> candidates;
   bool have_candidates = false;
-  if (pinned) {
-    if (restriction->pinned_row < slot.table->num_rows()) {
-      candidates.push_back(restriction->pinned_row);
+  if (is_root && restriction->pinned) {
+    if (restriction->row < slot.table->num_rows()) {
+      candidates.push_back(restriction->row);
     }
     have_candidates = true;
   }
@@ -434,12 +462,10 @@ Result<std::vector<RowId>> SlotCandidates(const Slot& slot,
         // Tombstoned rows are unindexed; add back the ones the restriction
         // makes visible. Every conjunct is re-evaluated below, so additions
         // that fail the indexed predicate are filtered out again.
-        if (restriction != nullptr && restriction->extra_visible != nullptr) {
-          auto it = restriction->extra_visible->find(slot.name);
-          if (it != restriction->extra_visible->end()) {
-            for (RowId id : it->second) {
-              if (id < slot.table->num_rows()) candidates.push_back(id);
-            }
+        if (const std::vector<RowId>* extra =
+                ExtraVisibleRows(slot, restriction)) {
+          for (RowId id : *extra) {
+            if (id < slot.table->num_rows()) candidates.push_back(id);
           }
         }
         break;
@@ -453,137 +479,158 @@ Result<std::vector<RowId>> SlotCandidates(const Slot& slot,
   }
   std::vector<RowId> out;
   out.reserve(candidates.size());
-  SingleRowAccessor accessor(&slot, 0);
   for (RowId id : candidates) {
     if (id < min_row) continue;
     if (!RowVisible(slot, slot_idx, id, restriction)) continue;
-    accessor.set_row(id);
-    bool keep = true;
-    for (const auto& c : conj) {
-      HYPRE_ASSIGN_OR_RETURN(bool v, Evaluate(*c, accessor));
-      if (!v) {
-        keep = false;
-        break;
-      }
-    }
+    HYPRE_ASSIGN_OR_RETURN(bool keep, RowPasses(slot, conj, id));
     if (keep) out.push_back(id);
   }
   return out;
 }
 
-/// Streams every matching joined tuple to `fn(slots, row_ids)`.
+/// One step of the join walk: every partial tuple extends into slot `to`
+/// through the rows whose `to_col` equals the tuple's `from` slot `from_col`.
+struct JoinStep {
+  size_t from, from_col;
+  size_t to, to_col;
+};
+
+/// Re-roots the join tree at `root`: orders the edges so that each step
+/// starts from a slot an earlier step (or the root) already bound, walking an
+/// edge backwards when the root lies on its right side. Root 0 yields the
+/// query's own JOIN order, so the forward pass keeps its left-deep shape.
+std::vector<JoinStep> RootedSteps(const PlannedQuery& plan, size_t root) {
+  std::vector<char> bound(plan.slots.size(), 0);
+  bound[root] = 1;
+  std::vector<JoinStep> steps;
+  steps.reserve(plan.edges.size());
+  // Each JOIN attaches one new slot to the slots before it, so the edges
+  // form a tree and every sweep binds at least one more slot.
+  while (steps.size() < plan.edges.size()) {
+    for (const JoinEdge& e : plan.edges) {
+      if (bound[e.left] && !bound[e.right]) {
+        steps.push_back({e.left, e.left_col, e.right, e.right_col});
+        bound[e.right] = 1;
+      } else if (bound[e.right] && !bound[e.left]) {
+        steps.push_back({e.right, e.right_col, e.left, e.left_col});
+        bound[e.left] = 1;
+      }
+    }
+  }
+  return steps;
+}
+
+/// Streams every matching joined tuple to `fn(slots, row_ids)`, where
+/// row_ids[s] is slot s's row. Without a restriction the walk starts from
+/// slot 0's candidates and emits tuples in left-deep join order; a delta
+/// restriction starts it from the delta rows in its root slot instead.
 Status ForEachMatch(
     const Database& db, const Query& query,
     const std::function<void(const std::vector<Slot>&,
                              const std::vector<RowId>&)>& fn,
     const ScanRestriction* restriction = nullptr) {
   HYPRE_ASSIGN_OR_RETURN(PlannedQuery plan, Plan(db, query));
+  const size_t width = plan.slots.size();
+  size_t root = restriction != nullptr ? restriction->root : 0;
 
-  // A right slot with a hash index on its join column — and no conjuncts or
-  // scan restriction of its own — joins by probing that index directly:
-  // no candidate materialization, no per-query hash-table build. This is
-  // what keeps key-pinned delta recomputes proportional to the key's own
-  // rows instead of the joined table's size. (Tombstoned rows are erased
-  // from indexes, so the index probe and the hash build agree; an
-  // extra_visible override disables the shortcut because those rows are
-  // only reachable by scan.)
-  std::vector<const HashIndex*> join_index(plan.slots.size(), nullptr);
-  for (size_t j = 0; j < query.joins.size(); ++j) {
-    size_t s = j + 1;
-    if (!plan.slot_conjuncts[s].empty()) continue;
-    if (restriction != nullptr) {
-      if (restriction->pinned_slot == static_cast<int>(s) ||
-          restriction->min_slot == static_cast<int>(s)) {
-        continue;
-      }
-      if (restriction->extra_visible != nullptr &&
-          restriction->extra_visible->count(plan.slots[s].name) > 0) {
-        continue;
-      }
+  // Partial tuples, flattened: tuple t binds slot s to tuples[t * width + s]
+  // (slots the walk has not reached yet hold 0).
+  std::vector<RowId> tuples;
+  {
+    HYPRE_ASSIGN_OR_RETURN(std::vector<RowId> root_rows,
+                           SlotCandidates(plan.slots[root],
+                                          plan.slot_conjuncts[root], root,
+                                          restriction));
+    tuples.assign(root_rows.size() * width, 0);
+    for (size_t t = 0; t < root_rows.size(); ++t) {
+      tuples[t * width + root] = root_rows[t];
     }
-    join_index[s] =
-        plan.slots[s].table->GetHashIndex(query.joins[j].right_column);
   }
 
-  // Filtered candidates for every slot (skipped where the index joins).
-  std::vector<std::vector<RowId>> candidates(plan.slots.size());
-  for (size_t s = 0; s < plan.slots.size(); ++s) {
-    if (s > 0 && join_index[s] != nullptr) continue;
-    HYPRE_ASSIGN_OR_RETURN(
-        candidates[s],
-        SlotCandidates(plan.slots[s], plan.slot_conjuncts[s], s, restriction));
-  }
+  for (const JoinStep& step : RootedSteps(plan, root)) {
+    const Slot& from = plan.slots[step.from];
+    const Slot& to = plan.slots[step.to];
+    const std::vector<ExprPtr>& conj = plan.slot_conjuncts[step.to];
+    std::vector<RowId> next;
+    auto extend = [&](size_t t, RowId rid) {
+      next.insert(next.end(), tuples.begin() + t * width,
+                  tuples.begin() + (t + 1) * width);
+      next[next.size() - width + step.to] = rid;
+    };
+    auto key_of = [&](size_t t) -> const Value& {
+      return from.table->row(tuples[t * width + step.from])[step.from_col];
+    };
+    size_t num_tuples = tuples.size() / width;
 
-  // Left-deep hash joins.
-  std::vector<std::vector<RowId>> tuples;
-  tuples.reserve(candidates[0].size());
-  for (RowId id : candidates[0]) tuples.push_back({id});
-
-  for (size_t j = 0; j < query.joins.size(); ++j) {
-    const JoinSpec& join = query.joins[j];
-    size_t right_slot = j + 1;
-    const Slot& right = plan.slots[right_slot];
-
-    // Resolve join columns.
-    std::vector<Slot> left_scope(plan.slots.begin(),
-                                 plan.slots.begin() + right_slot);
-    HYPRE_ASSIGN_OR_RETURN(auto left_loc,
-                           ResolveQualified(left_scope, join.left_column));
-    int right_col = right.table->schema().FindColumn(join.right_column);
-    if (right_col < 0) {
-      return Status::NotFound("no column '" + join.right_column +
-                              "' in table '" + right.name + "'");
-    }
-
-    std::vector<std::vector<RowId>> next;
-    if (join_index[right_slot] != nullptr) {
-      // Index-backed join: probe the table's own hash index per left tuple.
-      // Posting lists are ascending row ids, the same per-key order the
-      // built hash table would hold, so emission order is unchanged.
-      const HashIndex* idx = join_index[right_slot];
-      for (const auto& tuple : tuples) {
-        const Value& key =
-            plan.slots[left_loc.first]
-                .table->row(tuple[left_loc.first])[left_loc.second];
+    // A slot with a hash index on its join column joins by probing that
+    // index: no candidate materialization, no per-query hash-table build.
+    // That keeps a delta walk proportional to the rows the delta reaches,
+    // whichever slot it starts from. Without a restriction only slots with
+    // no conjuncts of their own take it: a filtered slot's candidates are
+    // usually far fewer than the tuples probing it. Tombstoned rows are
+    // erased from indexes, so the rows the restriction makes visible are
+    // added back by value.
+    const HashIndex* index =
+        conj.empty() || restriction != nullptr
+            ? to.table->GetHashIndex(
+                  to.table->schema().column(step.to_col).name)
+            : nullptr;
+    if (index != nullptr) {
+      const std::vector<RowId>* extra = ExtraVisibleRows(to, restriction);
+      std::vector<RowId> with_extra;
+      for (size_t t = 0; t < num_tuples; ++t) {
+        const Value& key = key_of(t);
         if (key.is_null()) continue;
-        for (RowId rid : idx->Lookup(key)) {
-          std::vector<RowId> extended = tuple;
-          extended.push_back(rid);
-          next.push_back(std::move(extended));
+        const std::vector<RowId>* rows = &index->Lookup(key);
+        if (extra != nullptr) {
+          with_extra = *rows;
+          for (RowId id : *extra) {
+            if (id < to.table->num_rows() && to.table->is_deleted(id) &&
+                to.table->row(id)[step.to_col] == key) {
+              with_extra.push_back(id);
+            }
+          }
+          std::sort(with_extra.begin(), with_extra.end());
+          rows = &with_extra;
+        }
+        for (RowId rid : *rows) {
+          if (!conj.empty()) {
+            HYPRE_ASSIGN_OR_RETURN(bool keep, RowPasses(to, conj, rid));
+            if (!keep) continue;
+          }
+          extend(t, rid);
         }
       }
     } else {
-      // Build hash table on the right candidates.
+      // Build a hash table on the slot's filtered candidates. Posting lists
+      // hold ascending row ids, the same per-key order an index holds.
+      HYPRE_ASSIGN_OR_RETURN(
+          std::vector<RowId> candidates,
+          SlotCandidates(to, conj, step.to, restriction));
       std::unordered_map<Value, std::vector<RowId>, ValueHash> hash;
-      hash.reserve(candidates[right_slot].size());
-      for (RowId id : candidates[right_slot]) {
-        const Value& key =
-            right.table->row(id)[static_cast<size_t>(right_col)];
+      hash.reserve(candidates.size());
+      for (RowId id : candidates) {
+        const Value& key = to.table->row(id)[step.to_col];
         if (key.is_null()) continue;
         hash[key].push_back(id);
       }
-
-      // Probe with the accumulated tuples.
-      for (const auto& tuple : tuples) {
-        const Value& key =
-            plan.slots[left_loc.first]
-                .table->row(tuple[left_loc.first])[left_loc.second];
+      for (size_t t = 0; t < num_tuples; ++t) {
+        const Value& key = key_of(t);
         if (key.is_null()) continue;
         auto it = hash.find(key);
         if (it == hash.end()) continue;
-        for (RowId rid : it->second) {
-          std::vector<RowId> extended = tuple;
-          extended.push_back(rid);
-          next.push_back(std::move(extended));
-        }
+        for (RowId rid : it->second) extend(t, rid);
       }
     }
     tuples = std::move(next);
   }
 
   // Residual cross-slot predicate.
-  for (const auto& tuple : tuples) {
-    JoinedRowAccessor accessor(&plan.slots, &tuple);
+  std::vector<RowId> tuple(width);
+  JoinedRowAccessor accessor(&plan.slots, &tuple);
+  for (size_t begin = 0; begin < tuples.size(); begin += width) {
+    std::copy(tuples.begin() + begin, tuples.begin() + begin + width,
+              tuple.begin());
     bool keep = true;
     for (const auto& c : plan.residual) {
       HYPRE_ASSIGN_OR_RETURN(bool v, Evaluate(*c, accessor));
@@ -804,43 +851,20 @@ Status Executor::ForEachAppendedMatch(
     const std::vector<ExprPtr>& predicates,
     const std::function<void(const Value&)>& tuple_fn,
     const std::function<void(size_t, const Value&)>& pred_fn) const {
-  // One pass per watermarked slot: pass s sees exactly the joined tuples
-  // whose slot-s row is new. The union over passes covers every tuple that
-  // did not exist at the watermarks (any other tuple is all-old rows).
+  // One pass per watermarked slot: pass s starts its join walk from slot s's
+  // new rows, so it sees exactly the joined tuples whose slot-s row is new
+  // and costs work in the size of that delta. The union over passes covers
+  // every tuple that did not exist at the watermarks (any other tuple is
+  // all-old rows).
   std::vector<std::string> slot_names = SlotTableNames(query);
   for (size_t s = 0; s < slot_names.size(); ++s) {
     auto it = first_new_row.find(slot_names[s]);
     if (it == first_new_row.end()) continue;
     const Table* table = db_->GetTable(slot_names[s]);
     if (table != nullptr && it->second >= table->num_rows()) continue;
-    // Left-deep joins enumerate the FROM slot, so a watermark on the joined
-    // slot of a two-table query would still scan the whole FROM table. Flip
-    // the query instead: the handful of new joined rows drive, and the FROM
-    // side is reached through its join-column index (or one hash build).
-    // Tuple emission order differs from the straight pass, which is fine —
-    // consumers of this API are declared order-independent.
-    if (s == 1 && query.joins.size() == 1) {
-      const JoinSpec& join = query.joins[0];
-      auto [left_table, left_col] = SplitQualifiedName(join.left_column);
-      if (left_table.empty()) left_table = query.from;
-      if (left_table == query.from) {
-        Query inverted;
-        inverted.from = join.right_table;
-        inverted.joins.push_back(
-            {query.from, join.right_table + "." + join.right_column,
-             left_col});
-        inverted.where = query.where;
-        ScanRestriction restriction;
-        restriction.min_slot = 0;
-        restriction.min_row = it->second;
-        HYPRE_RETURN_NOT_OK(KeyedMatchImpl(*db_, inverted, column, predicates,
-                                           tuple_fn, pred_fn, &restriction));
-        continue;
-      }
-    }
     ScanRestriction restriction;
-    restriction.min_slot = static_cast<int>(s);
-    restriction.min_row = it->second;
+    restriction.root = s;
+    restriction.row = it->second;
     HYPRE_RETURN_NOT_OK(KeyedMatchImpl(*db_, query, column, predicates,
                                        tuple_fn, pred_fn, &restriction));
   }
@@ -853,20 +877,18 @@ Status Executor::ForEachMatchOfRow(
     const std::unordered_map<std::string, std::vector<RowId>>& extra_visible,
     const std::function<void(const Value&)>& fn) const {
   std::vector<std::string> slot_names = SlotTableNames(query);
-  int slot = -1;
-  for (size_t s = 0; s < slot_names.size(); ++s) {
-    if (slot_names[s] == table) {
-      slot = static_cast<int>(s);
-      break;
-    }
-  }
-  if (slot < 0) {
+  auto slot = std::find(slot_names.begin(), slot_names.end(), table);
+  if (slot == slot_names.end()) {
     return Status::InvalidArgument("table '" + table +
                                    "' is not part of the query");
   }
+  // The walk starts from the pinned row alone and reaches every other slot
+  // through the join tree, so a deleted link row costs its own joins, not a
+  // scan of the FROM table.
   ScanRestriction restriction;
-  restriction.pinned_slot = slot;
-  restriction.pinned_row = row;
+  restriction.root = static_cast<size_t>(slot - slot_names.begin());
+  restriction.pinned = true;
+  restriction.row = row;
   restriction.extra_visible = &extra_visible;
   std::vector<ExprPtr> no_predicates;
   return KeyedMatchImpl(

@@ -174,12 +174,17 @@ class Executor {
   // The three hooks below back the probe engine's incremental Refresh path
   // (src/hypre/delta_engine.*). They stream raw key Values rather than
   // dense ids because the delta consumer grows the dictionary as it goes.
+  // ForEachAppendedMatch and ForEachMatchOfRow start the join walk from
+  // the delta rows and reach every other slot through the join tree (each
+  // through its join-column hash index where it has one), so their cost
+  // follows the rows the delta reaches, for any join length.
 
   /// \brief Streams the value of `column` for every matching joined tuple,
   /// evaluating `predicates` against each: `tuple_fn(key)` once per tuple,
   /// then `pred_fn(p, key)` for each predicate that holds. One pass answers
   /// "does this key exist" and "which leaves does it match" together — the
-  /// per-key recompute hook behind delete maintenance.
+  /// per-key recompute hook behind delete maintenance. The walk starts at
+  /// the FROM table, so a key-pinned WHERE on it keeps the pass small.
   Status ForEachKeyedMatch(
       const Query& query, const std::string& column,
       const std::vector<ExprPtr>& predicates,
@@ -189,10 +194,11 @@ class Executor {
   /// \brief Like ForEachKeyedMatch, restricted to the joined tuples that did
   /// NOT exist before the per-table append watermarks: a tuple qualifies iff
   /// at least one slot's row id is >= first_new_row[that slot's table].
-  /// Implemented as one restricted pass per watermarked slot, so a tuple
-  /// whose new rows span several slots is emitted once per such slot —
-  /// consumers must be idempotent (bitmap Set is). Tables absent from the
-  /// map are treated as having no new rows.
+  /// Implemented as one pass per watermarked slot, rooted at that slot's
+  /// new rows, so a tuple whose new rows span several slots is emitted once
+  /// per such slot — consumers must be idempotent (bitmap Set is) and must
+  /// not depend on emission order. Tables absent from the map are treated
+  /// as having no new rows.
   Status ForEachAppendedMatch(
       const Query& query, const std::string& column,
       const std::unordered_map<std::string, RowId>& first_new_row,
@@ -204,7 +210,9 @@ class Executor {
   /// row `row` of `table`, treating that row — and any rows listed in
   /// `extra_visible` — as visible even if tombstoned. This reconstructs the
   /// pre-delete join state: the tuples a freshly deleted row participated in
-  /// name exactly the keys whose leaf memberships must be recomputed.
+  /// name exactly the keys whose leaf memberships must be recomputed. The
+  /// walk starts from the pinned row alone; tombstoned `extra_visible` rows
+  /// join where their join key matches.
   Status ForEachMatchOfRow(
       const Query& query, const std::string& column, const std::string& table,
       RowId row,

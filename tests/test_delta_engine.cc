@@ -7,6 +7,7 @@
 // database, across shard widths and thread counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 #include <string>
@@ -378,10 +379,13 @@ TEST(AppendCsv, ErrorsNameTheOffendingRow) {
 
 /// Random papers/tags workload whose tables keep mutating; mirrors the
 /// batch-prober fuzz shape so predicates exercise indexes, full scans, and
-/// multi-word universes.
+/// multi-word universes. With `three_tables` the base query becomes the
+/// chain p JOIN tag JOIN topic, so deletes of tag and topic rows re-join
+/// through two hops.
 class MutatingWorkload {
  public:
-  explicit MutatingWorkload(uint64_t seed) : rng_(seed) {
+  explicit MutatingWorkload(uint64_t seed, bool three_tables = false)
+      : rng_(seed) {
     auto papers =
         db_.CreateTable("p", Schema({{"pid", ValueType::kInt64},
                                      {"venue", ValueType::kString}}));
@@ -399,6 +403,21 @@ class MutatingWorkload {
 
     base_.from = "p";
     base_.joins.push_back({"tag", "p.pid", "pid"});
+    if (three_tables) {
+      // Topics for tags 0..6 (some with two rows); tag 7 starts with none,
+      // so its links do not join until a mutate adds one.
+      auto topics = db_.CreateTable(
+          "topic",
+          Schema({{"t", ValueType::kInt64}, {"area", ValueType::kString}}));
+      EXPECT_TRUE(topics.ok());
+      topics_ = *topics;
+      for (int64_t t = 0; t < 7; ++t) {
+        AddTopic(t);
+        if (rng_.NextBernoulli(0.3)) AddTopic(t);
+      }
+      EXPECT_TRUE(topics_->CreateHashIndex("t").ok());
+      base_.joins.push_back({"topic", "tag.t", "t"});
+    }
 
     auto add = [&](const std::string& pred, double intensity) {
       auto atom = MakeAtom(pred, intensity);
@@ -413,7 +432,17 @@ class MutatingWorkload {
     add("tag.t=2", 0.4);
     add("p.venue='V3'", 0.3);
     add("tag.t=3", 0.2);
+    if (three_tables) {
+      add("topic.area='A0'", 0.65);
+      add("topic.area='A1'", 0.35);
+    }
     SortByIntensityDesc(&prefs_);
+  }
+
+  void AddTopic(int64_t t) {
+    static const char* areas[] = {"A0", "A1", "A2"};
+    topics_->AppendUnchecked(
+        Row{Value::Int(t), Value::Str(areas[rng_.NextBounded(3)])});
   }
 
   void AddPaper() {
@@ -447,6 +476,26 @@ class MutatingWorkload {
     DeleteSomeRows(tags_, rng_.NextBounded(5));
   }
 
+  /// One mutate shaped like servebench's write_mix ones: a new paper (a
+  /// key-table row) plus two tag links, then one live tag link deleted. On
+  /// the three-table chain a topic row is sometimes appended or deleted too.
+  void MutateWriteMix() {
+    static const char* venues[] = {"V1", "V2", "V3", "V4"};
+    int64_t pid = next_pid_++;
+    papers_->AppendUnchecked(
+        Row{Value::Int(pid), Value::Str(venues[rng_.NextBounded(4)])});
+    int64_t t1 = rng_.NextInt(0, 7);
+    int64_t t2 = (t1 + 1 + rng_.NextInt(0, 6)) % 8;
+    for (int64_t t : {t1, t2}) {
+      tags_->AppendUnchecked(Row{Value::Int(pid), Value::Int(t)});
+    }
+    DeleteOneLiveRow(tags_);
+    if (topics_ != nullptr) {
+      if (rng_.NextBernoulli(0.3)) AddTopic(rng_.NextInt(0, 7));
+      if (rng_.NextBernoulli(0.3)) DeleteOneLiveRow(topics_);
+    }
+  }
+
   Combination RandomCombination(const Combiner& combiner) {
     size_t n = prefs_.size();
     size_t size = 1 + rng_.NextBounded(4);
@@ -477,6 +526,7 @@ class MutatingWorkload {
   reldb::Database db_;
   reldb::Table* papers_ = nullptr;
   reldb::Table* tags_ = nullptr;
+  reldb::Table* topics_ = nullptr;  // three-table chain only
   reldb::Query base_;
   std::vector<PreferenceAtom> prefs_;
   int64_t next_pid_ = 0;
@@ -490,12 +540,34 @@ class MutatingWorkload {
       if (!table->is_deleted(id)) ASSERT_TRUE(table->Delete(id).ok());
     }
   }
+
+  void DeleteOneLiveRow(reldb::Table* table) {
+    for (int attempt = 0; attempt < 64; ++attempt) {
+      RowId id = rng_.NextBounded(table->num_rows());
+      if (!table->is_deleted(id)) {
+        ASSERT_TRUE(table->Delete(id).ok());
+        return;
+      }
+    }
+  }
 };
 
 TEST(DeltaEngine, RandomizedMutationDifferential) {
-  for (uint64_t seed : {11u, 29u, 47u}) {
-    SCOPED_TRACE(testing::Message() << "seed=" << seed);
-    MutatingWorkload w(seed);
+  struct Run {
+    uint64_t seed;
+    bool three_tables;
+    bool write_mix;  // mix write_mix-shaped mutates into the random ones
+  };
+  for (const Run& run : std::vector<Run>{{11, false, false},
+                                         {29, false, false},
+                                         {47, false, false},
+                                         {19, false, true},
+                                         {13, true, true},
+                                         {31, true, true}}) {
+    SCOPED_TRACE(testing::Message() << "seed=" << run.seed << " three_tables="
+                                    << run.three_tables
+                                    << " write_mix=" << run.write_mix);
+    MutatingWorkload w(run.seed, run.three_tables);
     ProbeEngine engine(&w.db_, w.base_, "p.pid");
     Combiner combiner(&w.prefs_);
     CombinationProber prober(&combiner, &engine);
@@ -511,7 +583,13 @@ TEST(DeltaEngine, RandomizedMutationDifferential) {
       // 1 or 2 mutation batches before the refresh: Refresh must absorb
       // arbitrary interleavings, not just single-batch slices.
       size_t batches = 1 + w.rng_.NextBounded(2);
-      for (size_t b = 0; b < batches; ++b) w.Mutate();
+      for (size_t b = 0; b < batches; ++b) {
+        if (run.write_mix && w.rng_.NextBernoulli(0.5)) {
+          w.MutateWriteMix();
+        } else {
+          w.Mutate();
+        }
+      }
       auto epoch = engine.Refresh();
       ASSERT_TRUE(epoch.ok()) << epoch.status().ToString();
 
@@ -588,6 +666,83 @@ TEST(DeltaEngine, RandomizedMutationDifferential) {
       }
     }
   }
+}
+
+// Refresh merges the keys it appended or recycled into the existing key
+// order instead of re-sorting. After every Refresh the KeyRank order of the
+// live ids must be exactly what a fresh full sort of their values gives.
+// The churn appends keys below, between and above the existing ones (and
+// re-appends deleted values), deletes keys so their ids are tombstoned and
+// later recycled, and crosses the compaction threshold, after which the
+// order is rebuilt from scratch and merging resumes.
+TEST(DeltaEngine, MergedKeyOrderMatchesFullSort) {
+  reldb::Database db;
+  auto created = db.CreateTable("k", Schema({{"id", ValueType::kInt64}}));
+  ASSERT_TRUE(created.ok());
+  reldb::Table* keys = *created;
+  for (int64_t v = 0; v < 200; v += 10) {
+    keys->AppendUnchecked(Row{Value::Int(v)});
+  }
+  ASSERT_TRUE(keys->CreateHashIndex("id").ok());
+  reldb::Query base;
+  base.from = "k";
+  ProbeEngine engine(&db, base, "k.id");
+  DeltaOptions options;
+  options.rebuild_tombstone_ratio = 0.3;
+  engine.set_delta_options(options);
+
+  Rng rng(5);
+  int64_t lowest = 0;
+  int64_t highest = 190;
+  for (int round = 0; round < 80; ++round) {
+    SCOPED_TRACE(testing::Message() << "round=" << round);
+    ASSERT_TRUE(engine.UniverseSize().ok());  // re-interns after compaction
+    size_t appends = rng.NextBounded(5);
+    for (size_t i = 0; i < appends; ++i) {
+      int64_t v = 0;
+      switch (rng.NextBounded(3)) {
+        case 0:
+          v = --lowest;
+          break;
+        case 1:
+          v = rng.NextInt(lowest, highest);
+          break;
+        default:
+          v = ++highest;
+          break;
+      }
+      keys->AppendUnchecked(Row{Value::Int(v)});
+    }
+    // Every 20th round deletes about half the rows: past the threshold.
+    size_t deletes = round % 20 == 19 ? keys->num_live_rows()
+                                      : rng.NextBounded(4);
+    for (size_t i = 0; i < deletes && keys->num_live_rows() > 1; ++i) {
+      RowId id = rng.NextBounded(keys->num_rows());
+      if (!keys->is_deleted(id)) {
+        ASSERT_TRUE(keys->Delete(id).ok());
+      }
+    }
+    ASSERT_TRUE(engine.Refresh().ok());
+
+    auto universe = engine.UniverseBitmap();
+    ASSERT_TRUE(universe.ok());
+    std::vector<uint32_t> by_rank;
+    (*universe)->ForEachSet([&](uint32_t id) { by_rank.push_back(id); });
+    std::vector<uint32_t> by_value = by_rank;
+    std::sort(by_rank.begin(), by_rank.end(), [&](uint32_t a, uint32_t b) {
+      return engine.KeyRank(a) < engine.KeyRank(b);
+    });
+    std::sort(by_value.begin(), by_value.end(), [&](uint32_t a, uint32_t b) {
+      return engine.KeyAt(a).Compare(engine.KeyAt(b)) < 0;
+    });
+    ASSERT_EQ(by_rank, by_value);
+  }
+  const DeltaEngine::Stats& stats = engine.delta_engine().stats();
+  EXPECT_GT(stats.keys_added, 0u);
+  EXPECT_GT(stats.keys_recycled, 0u);
+  EXPECT_GT(stats.keys_tombstoned, 0u);
+  EXPECT_GT(stats.full_rebuilds, 0u);
+  EXPECT_GT(stats.incremental_refreshes, 0u);
 }
 
 TEST(DeltaEngine, PepsTopKAfterRefreshMatchesFreshEngine) {

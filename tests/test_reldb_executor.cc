@@ -1,7 +1,13 @@
 // Executor tests: filters, index push-down, joins, projection, ordering,
 // aggregation — including a property sweep checking the planned execution
-// against brute-force evaluation.
+// against brute-force evaluation, and a differential of the delta entry
+// points against a nested-loop full-join oracle.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <functional>
+#include <set>
+#include <unordered_map>
 
 #include "common/random.h"
 #include "reldb/executor.h"
@@ -355,6 +361,311 @@ INSTANTIATE_TEST_SUITE_P(
         "NOT (venue='INFOCOM')", "venue IN ('VLDB', 'PVLDB')",
         "(venue='VLDB' AND year>=2005) OR (venue='SIGMOD' AND year<2009)",
         "venue!='SIGMOD'", "pid='t1'", "year=2010 AND venue!='PVLDB'"));
+
+// --- Delta entry points vs a full-join oracle ------------------------------
+//
+// ForEachMatchOfRow and ForEachAppendedMatch start their join walk from the
+// delta rows and reach every other slot through the join tree. The oracle
+// below knows nothing of that: it joins every visible row of every slot by
+// nested loops, in the pre-delete or post-append state, and keeps the
+// tuples that contain the delta rows.
+
+/// RowAccessor over one tuple of an oracle join (qualified columns only).
+class OracleTupleAccessor : public RowAccessor {
+ public:
+  OracleTupleAccessor(const std::vector<const Table*>* tables,
+                      const std::vector<RowId>* rows)
+      : tables_(tables), rows_(rows) {}
+
+  Result<Value> Get(const std::string& table,
+                    const std::string& column) const override {
+    for (size_t s = 0; s < tables_->size(); ++s) {
+      const Table* t = (*tables_)[s];
+      if (t->name() != table) continue;
+      int col = t->schema().FindColumn(column);
+      if (col < 0) return Status::NotFound("no column " + column);
+      return t->row((*rows_)[s])[static_cast<size_t>(col)];
+    }
+    return Status::NotFound("no table " + table);
+  }
+
+ private:
+  const std::vector<const Table*>* tables_;
+  const std::vector<RowId>* rows_;
+};
+
+/// Full join of `query` over the rows `visible(slot, row)` admits: every
+/// combination of visible rows, kept when each JOIN's columns are equal and
+/// non-NULL and the WHERE clause holds. Calls `fn(tables, rows)` per tuple.
+void OracleJoin(
+    const Database& db, const Query& query,
+    const std::function<bool(size_t, RowId)>& visible,
+    const std::function<void(const std::vector<const Table*>&,
+                             const std::vector<RowId>&)>& fn) {
+  std::vector<const Table*> tables{db.GetTable(query.from)};
+  struct Edge {
+    size_t left, left_col, right_col;
+  };
+  std::vector<Edge> edges;
+  for (const JoinSpec& join : query.joins) {
+    auto [left_table, left_column] = SplitQualifiedName(join.left_column);
+    size_t left = 0;
+    while (tables[left]->name() != left_table) ++left;
+    const Table* right = db.GetTable(join.right_table);
+    edges.push_back(
+        {left,
+         static_cast<size_t>(tables[left]->schema().FindColumn(left_column)),
+         static_cast<size_t>(right->schema().FindColumn(join.right_column))});
+    tables.push_back(right);
+  }
+  std::vector<RowId> rows(tables.size());
+  std::function<void(size_t)> bind = [&](size_t s) {
+    if (s == tables.size()) {
+      if (query.where) {
+        OracleTupleAccessor accessor(&tables, &rows);
+        auto held = Evaluate(*query.where, accessor);
+        ASSERT_TRUE(held.ok()) << held.status().ToString();
+        if (!*held) return;
+      }
+      fn(tables, rows);
+      return;
+    }
+    for (RowId r = 0; r < tables[s]->num_rows(); ++r) {
+      if (!visible(s, r)) continue;
+      if (s > 0) {
+        const Edge& e = edges[s - 1];
+        const Value& left = tables[e.left]->row(rows[e.left])[e.left_col];
+        const Value& right = tables[s]->row(r)[e.right_col];
+        if (left.is_null() || right.is_null() || !(left == right)) continue;
+      }
+      rows[s] = r;
+      bind(s + 1);
+    }
+  };
+  bind(0);
+}
+
+/// Query shapes over tables a(id, k, m), b(k, ck, v), c(ck, m, w).
+enum class JoinShape { kChain2, kChain3, kStar };
+
+class DeltaDifferential {
+ public:
+  DeltaDifferential(JoinShape shape, uint64_t seed) : rng_(seed) {
+    auto make = [&](const char* name, std::vector<const char*> cols) {
+      std::vector<Column> columns;
+      for (const char* c : cols) columns.push_back({c, ValueType::kInt64});
+      auto t = db_.CreateTable(name, Schema(columns));
+      EXPECT_TRUE(t.ok());
+      return *t;
+    };
+    a_ = make("a", {"id", "k", "m"});
+    b_ = make("b", {"k", "ck", "v"});
+    c_ = make("c", {"ck", "m", "w"});
+    for (int i = 0; i < 10; ++i) AppendRow(a_);
+    for (int i = 0; i < 14; ++i) AppendRow(b_);
+    for (int i = 0; i < 10; ++i) AppendRow(c_);
+    // Each join column is indexed or not at random, so both the index walk
+    // and the hash-build fallback run.
+    for (auto [table, column] :
+         std::vector<std::pair<Table*, const char*>>{{a_, "k"},
+                                                     {a_, "m"},
+                                                     {b_, "k"},
+                                                     {b_, "ck"},
+                                                     {c_, "ck"},
+                                                     {c_, "m"}}) {
+      if (rng_.NextBernoulli(0.6)) {
+        EXPECT_TRUE(table->CreateHashIndex(column).ok());
+      }
+    }
+
+    query_.from = "a";
+    query_.joins.push_back({"b", "a.k", "k"});
+    if (shape == JoinShape::kChain3) {
+      query_.joins.push_back({"c", "b.ck", "ck"});
+    } else if (shape == JoinShape::kStar) {
+      query_.joins.push_back({"c", "a.m", "m"});
+    }
+    tables_ = {a_, b_};
+    if (shape != JoinShape::kChain2) tables_.push_back(c_);
+
+    std::vector<std::string> wheres{"", "b.v >= 2", "a.k = 1", "a.id <> b.v"};
+    std::vector<std::string> keys{"a.id", "b.v"};
+    std::vector<std::string> predicate_sql{"a.m = 2", "b.v > 1"};
+    if (shape != JoinShape::kChain2) {
+      wheres.push_back("c.w < 3 AND a.m <> 0");
+      keys.push_back("c.w");
+      predicate_sql.push_back("c.w = 0");
+    }
+    const std::string& where = wheres[rng_.NextBounded(wheres.size())];
+    if (!where.empty()) query_.where = Parse(where);
+    key_column_ = keys[rng_.NextBounded(keys.size())];
+    for (const auto& sql : predicate_sql) predicates_.push_back(Parse(sql));
+  }
+
+  std::string Describe() const {
+    return query_.ToSql() + " key=" + key_column_;
+  }
+
+  /// Deletes a few rows from two joined tables in one slice, then checks
+  /// ForEachMatchOfRow for every deleted row against the oracle's
+  /// pre-delete join.
+  void CheckDeleteSlice() {
+    std::unordered_map<std::string, std::vector<RowId>> slice;
+    size_t first = rng_.NextBounded(tables_.size());
+    size_t second = (first + 1 + rng_.NextBounded(tables_.size() - 1)) %
+                    tables_.size();
+    for (size_t s : {first, second}) {
+      size_t n = 1 + rng_.NextBounded(2);
+      for (size_t i = 0; i < n; ++i) {
+        Table* t = tables_[s];
+        RowId row = rng_.NextBounded(t->num_rows());
+        if (t->is_deleted(row)) continue;
+        ASSERT_TRUE(t->Delete(row).ok());
+        slice[t->name()].push_back(row);
+      }
+    }
+    auto in_slice = [&](const Table* t, RowId row) {
+      auto it = slice.find(t->name());
+      return it != slice.end() && std::find(it->second.begin(),
+                                            it->second.end(),
+                                            row) != it->second.end();
+    };
+    Executor exec(&db_);
+    for (const auto& [table_name, rows] : slice) {
+      for (RowId row : rows) {
+        SCOPED_TRACE(testing::Message() << "deleted " << table_name << "#"
+                                        << row);
+        std::set<Value> got;
+        ASSERT_TRUE(exec.ForEachMatchOfRow(query_, key_column_, table_name,
+                                           row, slice,
+                                           [&](const Value& key) {
+                                             got.insert(key);
+                                           })
+                        .ok());
+        std::set<Value> want;
+        OracleJoin(
+            db_, query_,
+            [&](size_t s, RowId r) {
+              const Table* t = tables_[s];
+              if (t->name() == table_name) return r == row;
+              return !t->is_deleted(r) || in_slice(t, r);
+            },
+            [&](const std::vector<const Table*>& tables,
+                const std::vector<RowId>& rows) {
+              want.insert(KeyOf(tables, rows));
+            });
+        EXPECT_EQ(got, want);
+      }
+    }
+  }
+
+  /// Appends rows to several slots, then checks ForEachAppendedMatch's key
+  /// and (predicate, key) sets against the oracle's post-append join.
+  void CheckAppendSlice() {
+    std::unordered_map<std::string, RowId> first_new_row;
+    for (Table* t : {a_, b_, c_}) {
+      size_t n = rng_.NextBounded(4);
+      if (n == 0) continue;
+      first_new_row[t->name()] = t->num_rows();
+      for (size_t i = 0; i < n; ++i) AppendRow(t);
+    }
+    Executor exec(&db_);
+    std::set<Value> got_keys;
+    std::set<std::pair<size_t, Value>> got_holds;
+    ASSERT_TRUE(exec.ForEachAppendedMatch(
+                        query_, key_column_, first_new_row, predicates_,
+                        [&](const Value& key) { got_keys.insert(key); },
+                        [&](size_t p, const Value& key) {
+                          got_holds.emplace(p, key);
+                        })
+                    .ok());
+    std::set<Value> want_keys;
+    std::set<std::pair<size_t, Value>> want_holds;
+    OracleJoin(
+        db_, query_,
+        [&](size_t s, RowId r) { return !tables_[s]->is_deleted(r); },
+        [&](const std::vector<const Table*>& tables,
+            const std::vector<RowId>& rows) {
+          bool is_new = false;
+          for (size_t s = 0; s < tables.size(); ++s) {
+            auto it = first_new_row.find(tables[s]->name());
+            if (it != first_new_row.end() && rows[s] >= it->second) {
+              is_new = true;
+            }
+          }
+          if (!is_new) return;
+          Value key = KeyOf(tables, rows);
+          want_keys.insert(key);
+          OracleTupleAccessor accessor(&tables, &rows);
+          for (size_t p = 0; p < predicates_.size(); ++p) {
+            auto held = Evaluate(*predicates_[p], accessor);
+            ASSERT_TRUE(held.ok()) << held.status().ToString();
+            if (*held) want_holds.emplace(p, key);
+          }
+        });
+    EXPECT_EQ(got_keys, want_keys);
+    EXPECT_EQ(got_holds, want_holds);
+  }
+
+ private:
+  /// Small domains so joins fan out; join columns are NULL ~15% of the time.
+  void AppendRow(Table* t) {
+    auto join_value = [&] {
+      return rng_.NextBernoulli(0.15) ? Value::Null()
+                                      : Value::Int(rng_.NextInt(0, 4));
+    };
+    Value payload = Value::Int(rng_.NextInt(0, 4));
+    if (t == a_) {
+      t->AppendUnchecked(
+          Row{Value::Int(next_id_++), join_value(), join_value()});
+    } else {
+      t->AppendUnchecked(Row{join_value(), join_value(), payload});
+    }
+  }
+
+  Value KeyOf(const std::vector<const Table*>& tables,
+              const std::vector<RowId>& rows) const {
+    OracleTupleAccessor accessor(&tables, &rows);
+    auto [table, column] = SplitQualifiedName(key_column_);
+    return accessor.Get(table, column).value();
+  }
+
+  Database db_;
+  Table* a_ = nullptr;
+  Table* b_ = nullptr;
+  Table* c_ = nullptr;
+  std::vector<Table*> tables_;  // the query's slots, in slot order
+  Query query_;
+  std::string key_column_;
+  std::vector<ExprPtr> predicates_;
+  int64_t next_id_ = 0;
+  Rng rng_;
+};
+
+void RunDeltaDifferential(JoinShape shape) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    DeltaDifferential d(shape, seed);
+    SCOPED_TRACE(testing::Message() << "seed=" << seed << " " << d.Describe());
+    for (int round = 0; round < 6; ++round) {
+      SCOPED_TRACE(testing::Message() << "round=" << round);
+      d.CheckAppendSlice();
+      d.CheckDeleteSlice();
+      if (testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(ExecutorDeltaDifferential, TwoTableChain) {
+  RunDeltaDifferential(JoinShape::kChain2);
+}
+
+TEST(ExecutorDeltaDifferential, ThreeTableChain) {
+  RunDeltaDifferential(JoinShape::kChain3);
+}
+
+TEST(ExecutorDeltaDifferential, Star) {
+  RunDeltaDifferential(JoinShape::kStar);
+}
 
 }  // namespace
 }  // namespace reldb
