@@ -43,9 +43,8 @@ struct BiasRandomResult {
 /// in-flight chain dropped — when the budget runs dry. Checks are charged
 /// as their verdicts are CONSUMED, so a budgeted run makes the same draws
 /// and streams a prefix of the unbudgeted run's records. Records stream
-/// through the control's sink in probe order. Prefer dispatching by name
-/// through api::Session::Enumerate("bias-random") — this free function is
-/// the compatibility entry point it wraps.
+/// through the control's sink in probe order. This is the algorithm core
+/// the "bias-random" row of api::kAlgorithms calls.
 Result<BiasRandomResult> BiasRandomSelection(
     const std::vector<PreferenceAtom>& preferences,
     const QueryEnhancer& enhancer, uint64_t seed,

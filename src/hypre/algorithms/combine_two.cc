@@ -30,26 +30,11 @@ Result<std::vector<CombinationRecord>> CombineTwo(
     }
   }
 
-  // The budget admits a generation-order prefix of the pair frontier BEFORE
-  // probing, so a budgeted run emits a prefix of the unbudgeted records.
-  frontier.resize(control.Admit(frontier.size()));
-  if (frontier.empty()) return records;
-
   HYPRE_RETURN_NOT_OK(prober.PrefetchAll());
-  HYPRE_ASSIGN_OR_RETURN(std::vector<size_t> counts,
-                         batch.CountBatch(frontier));
-
-  records.reserve(frontier.size());
-  for (size_t f = 0; f < frontier.size(); ++f) {
-    CombinationRecord record;
-    record.num_predicates = 2;
-    record.num_tuples = counts[f];
-    record.intensity = combiner.ComputeIntensity(frontier[f]);
-    record.predicate_sql = combiner.ToSql(frontier[f]);
-    record.combination = std::move(frontier[f]);
-    control.Emit(record);
-    records.push_back(std::move(record));
-  }
+  HYPRE_RETURN_NOT_OK(ProbeGeneration(combiner, batch, control,
+                                      /*applicable_only=*/false, &frontier,
+                                      &records)
+                          .status());
   return records;
 }
 

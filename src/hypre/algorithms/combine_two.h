@@ -31,9 +31,8 @@ enum class CombineSemantics { kAnd, kAndOr };
 ///
 /// `control` bounds the probe spend (one probe per pair; only the admitted
 /// generation-order prefix is probed, truncated otherwise) and streams each
-/// record as it is produced. Prefer dispatching by name through
-/// api::Session::Enumerate("combine-two") — this free function is the
-/// compatibility entry point it wraps.
+/// record as it is produced. This is the algorithm core the "combine-two"
+/// row of api::kAlgorithms calls.
 Result<std::vector<CombinationRecord>> CombineTwo(
     const std::vector<PreferenceAtom>& preferences,
     const QueryEnhancer& enhancer, CombineSemantics semantics,

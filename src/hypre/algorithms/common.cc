@@ -1,0 +1,37 @@
+#include "hypre/algorithms/common.h"
+
+namespace hypre {
+namespace core {
+
+Result<bool> ProbeGeneration(const Combiner& combiner,
+                             const BatchProber& batch,
+                             const EnumerationControl& control,
+                             bool applicable_only,
+                             std::vector<Combination>* generation,
+                             std::vector<CombinationRecord>* records,
+                             std::vector<Combination>* ran) {
+  size_t admitted = control.Admit(generation->size());
+  bool budget_dry = admitted < generation->size();
+  generation->resize(admitted);
+  if (generation->empty()) return budget_dry;
+  HYPRE_ASSIGN_OR_RETURN(std::vector<size_t> counts,
+                         batch.CountBatch(*generation));
+  for (size_t g = 0; g < generation->size(); ++g) {
+    if (applicable_only && counts[g] == 0) continue;
+    Combination& combination = (*generation)[g];
+    CombinationRecord record;
+    record.num_predicates = combination.NumPredicates();
+    record.num_tuples = counts[g];
+    record.intensity = combiner.ComputeIntensity(combination);
+    record.predicate_sql = combiner.ToSql(combination);
+    if (ran != nullptr) ran->push_back(combination);
+    record.combination = std::move(combination);
+    control.Emit(record);
+    records->push_back(std::move(record));
+  }
+  generation->clear();
+  return budget_dry;
+}
+
+}  // namespace core
+}  // namespace hypre

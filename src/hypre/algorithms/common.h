@@ -28,6 +28,8 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
+#include "hypre/batch_prober.h"
 #include "hypre/combination.h"
 #include "hypre/ranking.h"
 
@@ -111,6 +113,23 @@ struct EnumerationControl {
     if (tuple_sink != nullptr && *tuple_sink) (*tuple_sink)(tuple);
   }
 };
+
+/// \brief The generation probe of the generation-ordered algorithms
+/// (exhaustive, combine-two, partially-combine-all). Admits a
+/// generation-order prefix of `*generation` through the control's budget
+/// BEFORE probing — so a budgeted run emits a prefix of the unbudgeted
+/// records — counts it in one CountBatch pass, then appends and streams one
+/// record per probed combination in generation order (only the applicable
+/// ones when `applicable_only`). Each recorded combination is also copied
+/// into `*ran` when it is non-null; `*generation` is left empty. Returns true
+/// when the budget ran dry before the whole generation was admitted.
+Result<bool> ProbeGeneration(const Combiner& combiner,
+                             const BatchProber& batch,
+                             const EnumerationControl& control,
+                             bool applicable_only,
+                             std::vector<Combination>* generation,
+                             std::vector<CombinationRecord>* records,
+                             std::vector<Combination>* ran = nullptr);
 
 }  // namespace core
 }  // namespace hypre

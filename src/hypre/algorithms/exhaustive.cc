@@ -34,34 +34,17 @@ Result<std::vector<CombinationRecord>> ExhaustiveAndCombinations(
 
   // Probe the subset space one fixed-size generation at a time: build the
   // next chunk of combinations, evaluate them in one blocked batch pass,
-  // keep the applicable ones.
+  // keep the applicable ones. The budget admits each generation as a prefix
+  // BEFORE it is probed, so a budgeted run streams a prefix of the
+  // unbudgeted run's records.
   constexpr size_t kGeneration = 2048;
   std::vector<Combination> frontier;
   bool budget_dry = false;
-  // The budget admits each generation as a prefix BEFORE it is probed, so a
-  // budgeted run streams a prefix of the unbudgeted run's records.
   auto flush = [&]() -> Status {
-    if (frontier.empty()) return Status::OK();
-    size_t admitted = control.Admit(frontier.size());
-    if (admitted < frontier.size()) {
-      budget_dry = true;
-      frontier.resize(admitted);
-      if (frontier.empty()) return Status::OK();
-    }
-    HYPRE_ASSIGN_OR_RETURN(std::vector<size_t> counts,
-                           batch.CountBatch(frontier));
-    for (size_t f = 0; f < frontier.size(); ++f) {
-      if (counts[f] == 0) continue;
-      CombinationRecord record;
-      record.num_predicates = frontier[f].NumPredicates();
-      record.num_tuples = counts[f];
-      record.intensity = combiner.ComputeIntensity(frontier[f]);
-      record.predicate_sql = combiner.ToSql(frontier[f]);
-      record.combination = std::move(frontier[f]);
-      control.Emit(record);
-      records.push_back(std::move(record));
-    }
-    frontier.clear();
+    HYPRE_ASSIGN_OR_RETURN(budget_dry,
+                           ProbeGeneration(combiner, batch, control,
+                                           /*applicable_only=*/true,
+                                           &frontier, &records));
     return Status::OK();
   };
 

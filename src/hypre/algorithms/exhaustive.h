@@ -26,9 +26,8 @@ namespace core {
 ///
 /// `control` bounds the probe spend (one probe per subset; the run stops —
 /// truncated — once the budget is spent) and streams applicable records in
-/// probe order; the returned vector stays intensity-sorted. Prefer
-/// dispatching by name through api::Session::Enumerate("exhaustive") — this
-/// free function is the compatibility entry point it wraps.
+/// probe order; the returned vector stays intensity-sorted. This is the
+/// algorithm core the "exhaustive" row of api::kAlgorithms calls.
 Result<std::vector<CombinationRecord>> ExhaustiveAndCombinations(
     const std::vector<PreferenceAtom>& preferences,
     const QueryEnhancer& enhancer, size_t max_n = 20,

@@ -5,43 +5,6 @@
 namespace hypre {
 namespace core {
 
-namespace {
-
-/// Probes one generation of combinations as a single batch frontier and
-/// appends a record per combination in generation order. The budget admits
-/// a generation-order prefix BEFORE probing, so a budgeted run emits a
-/// prefix of the unbudgeted records; sets `*budget_dry` when the generation
-/// did not fully fit.
-Status RunGeneration(const Combiner& combiner, const BatchProber& batch,
-                     const EnumerationControl& control,
-                     std::vector<Combination> generation,
-                     std::vector<CombinationRecord>* records,
-                     std::vector<Combination>* queries_ran,
-                     bool* budget_dry) {
-  size_t admitted = control.Admit(generation.size());
-  if (admitted < generation.size()) {
-    *budget_dry = true;
-    generation.resize(admitted);
-    if (generation.empty()) return Status::OK();
-  }
-  HYPRE_ASSIGN_OR_RETURN(std::vector<size_t> counts,
-                         batch.CountBatch(generation));
-  for (size_t g = 0; g < generation.size(); ++g) {
-    CombinationRecord record;
-    record.num_predicates = generation[g].NumPredicates();
-    record.num_tuples = counts[g];
-    record.intensity = combiner.ComputeIntensity(generation[g]);
-    record.predicate_sql = combiner.ToSql(generation[g]);
-    record.combination = generation[g];
-    control.Emit(record);
-    records->push_back(std::move(record));
-    queries_ran->push_back(std::move(generation[g]));
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Result<std::vector<CombinationRecord>> PartiallyCombineAll(
     const std::vector<PreferenceAtom>& preferences,
     const QueryEnhancer& enhancer, const ProbeOptions& options,
@@ -55,9 +18,13 @@ Result<std::vector<CombinationRecord>> PartiallyCombineAll(
   std::set<std::string> attributes_used;
   bool budget_dry = false;
 
-  auto run = [&](std::vector<Combination> generation) {
-    return RunGeneration(combiner, batch, control, std::move(generation),
-                         &records, &queries_ran, &budget_dry);
+  auto run = [&](std::vector<Combination> generation) -> Status {
+    HYPRE_ASSIGN_OR_RETURN(budget_dry,
+                           ProbeGeneration(combiner, batch, control,
+                                           /*applicable_only=*/false,
+                                           &generation, &records,
+                                           &queries_ran));
+    return Status::OK();
   };
 
   for (size_t i = 0; i < preferences.size() && !budget_dry; ++i) {

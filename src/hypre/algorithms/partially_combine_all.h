@@ -37,9 +37,8 @@ namespace core {
 /// `control` bounds the probe spend (one probe per spawned combination; each
 /// generation is admitted as a prefix before probing and the run stops —
 /// truncated — when the budget runs dry) and streams records in probe
-/// order. Prefer dispatching by name through
-/// api::Session::Enumerate("partially-combine-all") — this free function is
-/// the compatibility entry point it wraps.
+/// order. This is the algorithm core the "partially-combine-all" row of
+/// api::kAlgorithms calls.
 Result<std::vector<CombinationRecord>> PartiallyCombineAll(
     const std::vector<PreferenceAtom>& preferences,
     const QueryEnhancer& enhancer,

@@ -1,7 +1,6 @@
 #include "hypre/algorithms/peps.h"
 
 #include <algorithm>
-#include <string>
 #include <unordered_set>
 
 namespace hypre {
@@ -78,24 +77,16 @@ Result<std::vector<CombinationRecord>> Peps::GenerateOrder(
   double best_single = prefs.empty() ? 0.0 : prefs.front().intensity;
 
   std::vector<CombinationRecord> order;
-  std::unordered_set<std::string> seen;  // dedup by sorted member sets
 
-  auto member_key = [](const std::vector<size_t>& sorted_members) {
-    std::string key;
-    for (size_t m : sorted_members) {
-      key += std::to_string(m);
-      key += ",";
-    }
-    return key;
-  };
-
-  // DFS over the set-enumeration tree: members kept ascending; an extension
-  // index k must form an applicable pair with every current member (the
-  // pair-table pruning), and the extended set is then verified with one
-  // AND+popcount against the frame's bitmap. The bitmap is rebuilt into a
-  // reused scratch buffer on pop (an AND per member over the cached
-  // per-preference bitmaps) rather than stored per frame, so frames stay
-  // small and the DFS does no per-frame heap traffic.
+  // DFS over the set-enumeration tree: members kept ascending. Seeds are
+  // the distinct pairs i < j and an extension only appends k > the last
+  // member, so every member set has exactly one path in the tree and needs
+  // no dedup. An extension index k must form an applicable pair with every
+  // current member (the pair-table pruning), and the extended set is then
+  // verified with one AND+popcount against the frame's bitmap. The bitmap
+  // is rebuilt into a reused scratch buffer on pop (an AND per member over
+  // the cached per-preference bitmaps) rather than stored per frame, so
+  // frames stay small and the DFS does no per-frame heap traffic.
   struct Frame {
     std::vector<size_t> members;  // ascending
     Combination combination;
@@ -112,8 +103,6 @@ Result<std::vector<CombinationRecord>> Peps::GenerateOrder(
     frame.combination =
         combiner_.AndExtend(combiner_.Single(pair.i), pair.j);
     frame.num_tuples = pair.num_tuples;
-    std::string key = member_key(frame.members);
-    if (!seen.insert(key).second) continue;
     stack.push_back(std::move(frame));
   }
 
@@ -133,8 +122,8 @@ Result<std::vector<CombinationRecord>> Peps::GenerateOrder(
     control.Emit(record);
     order.push_back(std::move(record));
 
-    // Collect every extension k that survives the pair-table pruning and the
-    // dedup check; they form the frame's candidate frontier.
+    // Collect every extension k that survives the pair-table pruning; they
+    // form the frame's candidate frontier.
     candidates.clear();
     size_t last = frame.members.back();
     for (size_t k = last + 1; k < prefs.size(); ++k) {
@@ -145,11 +134,7 @@ Result<std::vector<CombinationRecord>> Peps::GenerateOrder(
           break;
         }
       }
-      if (!all_pairs_ok) continue;
-      std::vector<size_t> extended_members = frame.members;
-      extended_members.push_back(k);
-      if (!seen.insert(member_key(extended_members)).second) continue;
-      candidates.push_back(k);
+      if (all_pairs_ok) candidates.push_back(k);
     }
     // The budget admits a prefix of the frame's candidate frontier BEFORE
     // probing; once dry, the DFS stops after this frame.

@@ -76,8 +76,8 @@ class Peps {
   /// the given mode, descending by combined intensity. The control's budget
   /// charges one probe per pair-table entry and per expansion candidate
   /// (the DFS stops — truncated — when it runs dry); records stream through
-  /// the record sink in DFS pop order. Prefer dispatching by name through
-  /// api::Session::Enumerate("peps").
+  /// the record sink in DFS pop order. The "peps" row of api::kAlgorithms
+  /// calls this (k == 0) or TopK (k > 0).
   Result<std::vector<CombinationRecord>> GenerateOrder(
       PepsMode mode,
       const EnumerationControl& control = EnumerationControl{});

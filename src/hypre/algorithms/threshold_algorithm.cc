@@ -163,5 +163,42 @@ Result<std::vector<GradedList>> BuildGradedLists(
   return lists;
 }
 
+Result<std::vector<RankedTuple>> ThresholdAlgorithm(
+    const std::vector<PreferenceAtom>& preferences, const ProbeEngine& engine,
+    size_t k, const EnumerationControl& control) {
+  // One probe per atom builds the graded lists (each atom's key bitmap is
+  // materialized once); the budget admits a prefix of the atoms.
+  size_t admitted = control.Admit(preferences.size());
+  std::vector<PreferenceAtom> prefix;
+  const std::vector<PreferenceAtom>* atoms = &preferences;
+  if (admitted < preferences.size()) {
+    prefix.assign(preferences.begin(),
+                  preferences.begin() + static_cast<std::ptrdiff_t>(admitted));
+    atoms = &prefix;
+  }
+  HYPRE_ASSIGN_OR_RETURN(std::vector<GradedList> lists,
+                         BuildGradedLists(engine, *atoms));
+  std::vector<RankedTuple> top;
+  if (lists.empty()) return top;
+  // The remaining budget caps the sorted-access depth, TA's unit of work.
+  size_t max_depth = 0;
+  if (control.budget != nullptr && control.budget->limited()) {
+    max_depth = control.budget->remaining();
+    if (max_depth == 0) {
+      if (control.truncated != nullptr) *control.truncated = true;
+      return top;
+    }
+  }
+  size_t sorted_accesses = 0;
+  bool capped = false;
+  HYPRE_ASSIGN_OR_RETURN(top, ThresholdAlgorithmTopK(engine, lists, k,
+                                                     &sorted_accesses,
+                                                     max_depth, &capped));
+  control.Admit(sorted_accesses);  // always fits: max_depth bounded it
+  if (capped && control.truncated != nullptr) *control.truncated = true;
+  for (const RankedTuple& tuple : top) control.Emit(tuple);
+  return top;
+}
+
 }  // namespace core
 }  // namespace hypre

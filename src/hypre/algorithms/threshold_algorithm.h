@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "hypre/algorithms/common.h"
 #include "hypre/preference.h"
 #include "hypre/probe_engine.h"
 #include "hypre/ranking.h"
@@ -107,8 +108,7 @@ class GradedList {
 /// observability). `max_depth` > 0 caps the sorted-access depth — the probe
 /// budget of the unified API: when TA would have descended further,
 /// `*budget_capped` (if non-null) is set and the ranking reflects only the
-/// rounds performed. Prefer dispatching by name through
-/// api::Session::Enumerate("ta").
+/// rounds performed. An empty `lists` fails with InvalidArgument.
 Result<std::vector<RankedTuple>> ThresholdAlgorithmTopK(
     const ProbeEngine& engine, const std::vector<GradedList>& lists,
     size_t k, size_t* sorted_accesses = nullptr, size_t max_depth = 0,
@@ -123,6 +123,17 @@ Result<std::vector<GradedList>> BuildGradedLists(
     const ProbeEngine& engine, const std::vector<PreferenceAtom>& atoms,
     const std::function<std::string(const PreferenceAtom&)>& list_key =
         nullptr);
+
+/// \brief TA over `preferences` as one enumeration run — the algorithm
+/// core the "ta" row of api::kAlgorithms calls. The control's budget
+/// charges one probe per atom for the graded lists (only the admitted
+/// prefix of the atoms is graded) and one per sorted-access round, so the
+/// remaining budget caps the descent depth; `*control.truncated` is raised
+/// when either charge did not fit. The ranked tuples stream through the
+/// tuple sink in rank order. An empty preference list ranks nothing.
+Result<std::vector<RankedTuple>> ThresholdAlgorithm(
+    const std::vector<PreferenceAtom>& preferences, const ProbeEngine& engine,
+    size_t k, const EnumerationControl& control = EnumerationControl{});
 
 }  // namespace core
 }  // namespace hypre

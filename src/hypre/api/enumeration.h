@@ -1,33 +1,34 @@
 // Unified enumeration API: one request/response shape for all six
 // combination algorithms.
 //
-// The dissertation's algorithms (§5.3-§5.5) grew up as six divergent entry
-// points — free functions, the Peps class, TA's graded-list pipeline — each
-// hand-wired to a QueryEnhancer the caller had to assemble. This layer
-// turns algorithm choice into a REQUEST PARAMETER:
+// The dissertation's algorithms (§5.3-§5.5) are six free functions (and
+// the Peps class), each over a QueryEnhancer the caller assembles. This
+// layer turns algorithm choice into a REQUEST PARAMETER:
 //
 //   EnumerationRequest{algorithm="peps", base_query, key_column,
 //                      preferences, k, probe_budget, sinks, ...}
 //         │
 //         ▼
-//   Session::Enumerate ── registry lookup ("exhaustive", "combine-two",
-//                         "partially-combine-all", "bias-random", "peps",
-//                         "ta") ── cached ProbeEngine per (base query, key
-//                         column) ── epoch pinned via Refresh() ── run
+//   Session::Enumerate ── FindAlgorithm: row of kAlgorithms ("bias-random",
+//                         "combine-two", "exhaustive",
+//                         "partially-combine-all", "peps", "ta") ── cached
+//                         ProbeEngine per (base query, key column) ── epoch
+//                         pinned via Refresh() ── row.run: one call into
+//                         the algorithm core
 //         │
 //         ▼
 //   EnumerationResult{records / top_k, ProbeStats delta, epoch, truncated}
 //
-// Two capabilities exist only on this path: a probe BUDGET (bounded probe
-// spend with a truncation verdict — the admission knob a multi-tenant
-// deployment meters requests with) and STREAMING sinks (records / ranked
-// tuples emitted as they are produced). With no budget, results are
-// byte-identical to the direct algorithm entry points (enforced by
-// tests/test_session_api.cc).
+// The table is fixed: one {name, description, run} row per algorithm, and
+// each run is a single call into the algorithm's core, which takes the
+// budget/sink control itself. A probe BUDGET bounds the probe spend with a
+// truncation verdict (the admission knob a multi-tenant deployment meters
+// requests with); STREAMING sinks receive records / ranked tuples as they
+// are produced. With no budget, results are byte-identical to calling the
+// algorithm core directly (enforced by tests/test_session_api.cc).
 #pragma once
 
-#include <memory>
-#include <mutex>
+#include <array>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -51,8 +52,8 @@ namespace api {
 /// site before — algorithm, query, preferences, per-algorithm knobs, probe
 /// options, budget, sinks — as data.
 struct EnumerationRequest {
-  /// Registry name: "exhaustive", "combine-two", "partially-combine-all",
-  /// "bias-random", "peps", or "ta".
+  /// Algorithm name, a row of kAlgorithms: "bias-random", "combine-two",
+  /// "exhaustive", "partially-combine-all", "peps", or "ta".
   std::string algorithm;
   /// Query skeleton the probes run against (FROM/JOINs; an existing WHERE
   /// is a hard constraint every probe keeps).
@@ -147,69 +148,31 @@ struct EnumerationResult {
   telemetry::Trace trace;
 };
 
-/// \brief Everything an enumerator implementation receives: the session's
-/// cached enhancer, the intensity-sorted preference list, the original
-/// request, and the budget/sink control plane already wired to the result.
-struct EnumerationContext {
-  const core::QueryEnhancer* enhancer = nullptr;
-  /// Sorted descending by intensity (the session sorts its own copy).
-  const std::vector<core::PreferenceAtom>* preferences = nullptr;
-  const EnumerationRequest* request = nullptr;
-  /// The request's probe options with the session's runtime filled in: when
-  /// the request names no pool and asks for more than one thread, the
-  /// session injects its own persistent TaskPool here. Enumerators read
-  /// THIS copy, not request->probe_options.
-  core::ProbeOptions probe_options;
-  core::EnumerationControl control;
+/// \brief One row of the algorithm table: a name a request may give, a
+/// one-line description for listings, and the call that runs it.
+struct Algorithm {
+  std::string_view name;
+  std::string_view description;
+  /// Runs the algorithm core over the session's cached `enhancer` and the
+  /// intensity-sorted `preferences`, with the request's knobs, the resolved
+  /// `options` (the session's pool injected) and the budget/sink `control`.
+  /// Fills result->records / result->top_k and the bias-random tallies; the
+  /// session owns stats, epoch and truncated.
+  Status (*run)(const core::QueryEnhancer& enhancer,
+                const std::vector<core::PreferenceAtom>& preferences,
+                const EnumerationRequest& request,
+                const core::ProbeOptions& options,
+                const core::EnumerationControl& control,
+                EnumerationResult* result);
 };
 
-/// \brief One algorithm behind the unified API. Implementations are
-/// stateless dispatchers (per-run state lives in the Run call), so one
-/// registered instance serves every session and request.
-class CombinationEnumerator {
- public:
-  virtual ~CombinationEnumerator() = default;
+/// \brief The six algorithms, sorted by name. Session::Enumerate reaches
+/// every algorithm through this table and nothing else.
+extern const std::array<Algorithm, 6> kAlgorithms;
 
-  /// \brief Registry key ("peps", "combine-two", ...).
-  virtual std::string_view name() const = 0;
-  /// \brief One-line description for listings (shell \algo, errors).
-  virtual std::string_view description() const = 0;
-  /// \brief Runs the algorithm; fills result->records / result->top_k (and
-  /// the bias-random tallies). The session owns stats/epoch/truncated.
-  virtual Status Run(const EnumerationContext& ctx,
-                     EnumerationResult* result) const = 0;
-};
-
-/// \brief Name-keyed registry of enumerators — the dispatch point request
-/// routing (and the ROADMAP's distributed-probe split) goes through.
-/// Registration and lookup are mutex-guarded, so one process-wide registry
-/// safely serves concurrent per-tenant sessions even if a tenant registers
-/// a custom enumerator late; the returned enumerator pointers themselves
-/// are stable for the registry's lifetime (entries are never removed).
-class EnumeratorRegistry {
- public:
-  /// \brief The process-wide registry, with the six built-in algorithms
-  /// registered on first use.
-  static EnumeratorRegistry& Global();
-
-  /// \brief Registers an enumerator under its name(). Fails with
-  /// AlreadyExists on a duplicate name.
-  Status Register(std::unique_ptr<CombinationEnumerator> enumerator);
-
-  /// \brief Looks up an enumerator; unknown names fail with
-  /// InvalidArgument naming the registered algorithms.
-  Result<const CombinationEnumerator*> Find(const std::string& name) const;
-
-  /// \brief Registered names, sorted.
-  std::vector<std::string> Names() const;
-
-  /// \brief The registered enumerators, sorted by name (for listings).
-  std::vector<const CombinationEnumerator*> Enumerators() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<CombinationEnumerator>> enumerators_;
-};
+/// \brief The table row named `name`. Unknown names fail with
+/// InvalidArgument listing the known names.
+Result<const Algorithm*> FindAlgorithm(std::string_view name);
 
 }  // namespace api
 }  // namespace hypre

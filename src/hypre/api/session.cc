@@ -463,9 +463,8 @@ Status Session::EnumerateInternal(const EnumerationRequest& request,
 #if HYPRE_TELEMETRY_ENABLED
   auto request_start = std::chrono::steady_clock::now();
 #endif
-  HYPRE_ASSIGN_OR_RETURN(
-      const CombinationEnumerator* enumerator,
-      EnumeratorRegistry::Global().Find(request.algorithm));
+  HYPRE_ASSIGN_OR_RETURN(const Algorithm* algorithm,
+                         FindAlgorithm(request.algorithm));
   HYPRE_ASSIGN_OR_RETURN(
       core::QueryEnhancer * enhancer,
       GetEnhancer(request.base_query, request.key_column));
@@ -521,19 +520,16 @@ Status Session::EnumerateInternal(const EnumerationRequest& request,
   }
 
   core::ProbeBudget budget(request.probe_budget);
-  EnumerationContext ctx;
-  ctx.enhancer = enhancer;
-  ctx.preferences = &atoms;
-  ctx.request = &request;
-  ctx.probe_options = probe_options;
-  if (request.probe_budget > 0) ctx.control.budget = &budget;
-  if (request.record_sink) ctx.control.record_sink = &request.record_sink;
-  if (request.tuple_sink) ctx.control.tuple_sink = &request.tuple_sink;
-  ctx.control.truncated = &result->truncated;
+  core::EnumerationControl control;
+  if (request.probe_budget > 0) control.budget = &budget;
+  if (request.record_sink) control.record_sink = &request.record_sink;
+  if (request.tuple_sink) control.tuple_sink = &request.tuple_sink;
+  control.truncated = &result->truncated;
 
   {
     telemetry::TraceSpan span("api", "run_algorithm");
-    HYPRE_RETURN_NOT_OK(enumerator->Run(ctx, result));
+    HYPRE_RETURN_NOT_OK(algorithm->run(*enhancer, atoms, request,
+                                       probe_options, control, result));
   }
   result->stats = request_stats;
   HYPRE_TELEMETRY_STMT(FoldRequestStats(

@@ -7,11 +7,12 @@
 // interning and leaf prefetch instead of rebuilding them per call, and
 // every consumer goes through one versioned read path:
 //
-//   request ──▶ EnumeratorRegistry (by name)
+//   request ──▶ FindAlgorithm: the kAlgorithms row (by name)
 //           ──▶ enhancer cache [(base SQL, key column) → QueryEnhancer]
 //           ──▶ Refresh(): journal drained, epoch pinned for this request
 //           ──▶ bulk leaf prefetch over the request's preference leaves
-//           ──▶ enumerator Run (budget + sinks wired through)
+//           ──▶ row.run: one call into the algorithm core (budget + sinks
+//               wired through)
 //           ──▶ result {records/top_k, ProbeStats delta, epoch, truncated}
 //
 // Thread model: single writer, many readers — concurrent Enumerate()
@@ -100,15 +101,15 @@ class Session {
   static Result<std::unique_ptr<Session>> OpenFromSnapshot(
       const std::string& dir, const storage::StorageOptions& options = {});
 
-  /// \brief Runs one enumeration request end to end: registry dispatch,
+  /// \brief Runs one enumeration request end to end: table lookup,
   /// enhancer-cache lookup, epoch pinning, leaf prefetch, the algorithm
   /// itself, and the per-request statistics delta. With no probe budget the
-  /// records/tuples are byte-identical to calling the algorithm's direct
-  /// entry point on an equivalent enhancer.
+  /// records/tuples are byte-identical to calling the algorithm core
+  /// directly on an equivalent enhancer.
   Result<EnumerationResult> Enumerate(const EnumerationRequest& request);
 
   /// \brief The cached enhancer for (base_query, key_column), created on
-  /// first use. Exposed for consumers outside the six enumerators (ranking,
+  /// first use. Exposed for consumers outside the six algorithms (ranking,
   /// skyline, metrics) so they share the same engines the requests warm.
   Result<core::QueryEnhancer*> GetEnhancer(const reldb::Query& base_query,
                                            const std::string& key_column);
@@ -121,9 +122,13 @@ class Session {
   /// (see ProbeEngine::Refresh).
   Result<uint64_t> Refresh();
 
-  /// \brief Registered algorithm names (sorted) — what `algorithm` accepts.
+  /// \brief The algorithm names (sorted) — what `algorithm` accepts.
   std::vector<std::string> Algorithms() const {
-    return EnumeratorRegistry::Global().Names();
+    std::vector<std::string> names;
+    for (const Algorithm& algorithm : kAlgorithms) {
+      names.emplace_back(algorithm.name);
+    }
+    return names;
   }
 
   const reldb::Database* db() const { return db_; }

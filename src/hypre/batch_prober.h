@@ -19,12 +19,12 @@
 // tail shards) rebalance automatically and no per-batch thread spawn is
 // paid.
 //
-// Per-combination counts are sums of per-tile popcounts accumulated into
-// per-slot buffers reduced in slot order, and bitmap outputs write disjoint
-// word ranges — so results are exact and byte-identical for every shard
-// width, thread count, and steal order. The tests hold the batch layer to
-// an independent oracle: CombinationProber::BitsInto followed by
-// KeyBitmap::Count, per combination (tests/probe_oracle.h).
+// Every entry point runs its tiles through one private helper, which plans
+// the tiles, runs them, and sums per-tile popcounts through per-slot count
+// buffers reduced in slot order — so counts are exact and byte-identical
+// for every shard width, thread count, and steal order. The tests hold the
+// batch layer to an independent oracle: CombinationProber::BitsInto
+// followed by KeyBitmap::Count, per combination (tests/probe_oracle.h).
 //
 // All probes are answered from the per-preference bitmaps the shared
 // CombinationProber caches; the only DB work on this path is the bulk leaf
@@ -34,8 +34,9 @@
 // which revalidates them against the engine epoch, so batches issued after
 // a ProbeEngine::Refresh() see the refreshed state. When the engine carries
 // tombstoned keys, Compile() appends the engine's live mask to every
-// combination as one more AND group (and the extension/pair kernels AND it
-// in directly), keeping deleted keys out of every count and bitmap.
+// combination as one more AND group (and the two-operand AND kernel behind
+// CountExtensions/CountPairs ANDs it in directly), keeping deleted keys out
+// of every count.
 #pragma once
 
 #include <cstddef>
@@ -101,12 +102,6 @@ class BatchProber {
   Result<std::vector<size_t>> CountPairs(
       const std::vector<std::pair<size_t, size_t>>& pairs) const;
 
-  /// \brief Evaluates every combination into out->at(i), identical to
-  /// CombinationProber::BitsInto on each element (including the empty-
-  /// combination degenerate case). `out` is resized to the frontier.
-  Status EvalBatch(const std::vector<Combination>& frontier,
-                   std::vector<KeyBitmap>* out) const;
-
   const ProbeOptions& options() const { return options_; }
   const CombinationProber& prober() const { return *prober_; }
 
@@ -128,43 +123,31 @@ class BatchProber {
     size_t num_words = 0;
   };
 
-  // The shard × frontier-block tiling of one batch. Tile t covers shard
-  // t / num_item_tiles (its word range) × item block t % num_item_tiles, so
-  // consecutive tiles share a shard and a stolen run stays cache-hot on the
-  // same leaf words.
-  struct TileGrid {
-    size_t shard_words = 1;
-    size_t num_shards = 0;
-    size_t num_words = 0;
-    size_t item_tile = 1;
-    size_t num_item_tiles = 0;
-    size_t num_items = 0;
-    size_t num_tiles() const { return num_shards * num_item_tiles; }
-  };
-
   Result<CompiledFrontier> Compile(
       const std::vector<Combination>& frontier) const;
-  /// Resolves options_.num_threads (0 = auto) and clamps it so every slot
-  /// can start with at least one tile.
-  size_t PlanSlots(size_t num_words, size_t num_items) const;
-  TileGrid MakeGrid(size_t num_words, size_t num_items, size_t slots) const;
-  /// The pool a parallel run uses (options_.pool or the shared pool); null
-  /// when the run is inline.
-  parallel::TaskPool* SchedulePool(size_t slots) const;
-  /// Runs `kernel(word_begin, word_end, item_begin, item_end, slot)` over
-  /// every tile of `grid`, inline or on the pool. Slot ids are dense and
-  /// < slots; each tile runs exactly once.
+  /// popcount(a & b) — and the live mask when the engine has tombstones —
+  /// for every operand pair in and_operands_, each `num_words` words long.
+  /// The one kernel behind CountExtensions and CountPairs.
+  Result<std::vector<size_t>> CountAnds(size_t num_words) const;
+  /// Runs one batch of `num_items` probes over `num_words` words and
+  /// returns its counts. Plans the shard × item-block tiles, runs
+  /// `kernel(w0, w1, i0, i1, counts, scratch)` on every tile exactly once
+  /// (inline on the calling thread, or on the pool), sums the per-slot
+  /// counts in slot order and records the batch stats. `counts` is indexed
+  /// by item; `scratch` holds two shard-wide word buffers private to the
+  /// running slot.
   template <typename Kernel>
-  void ForEachTile(const TileGrid& grid, size_t slots, Kernel&& kernel) const;
+  std::vector<size_t> RunTiles(size_t num_words, size_t num_items,
+                               Kernel&& kernel) const;
 
   const CombinationProber* prober_;
   ProbeOptions options_;
-  // Reused scratch for the single-threaded fast paths (CountExtensions runs
-  // once per popped PEPS DFS frame), so hot batches do no per-call heap
+  // Reused scratch for the inline path (CountExtensions runs once per
+  // popped PEPS DFS frame), so a one-slot batch does no per-call heap
   // allocation beyond the returned counts.
-  mutable std::vector<const uint64_t*> ptr_scratch_;
-  mutable std::vector<uint64_t> group_word_scratch_;
-  mutable std::vector<uint64_t> acc_word_scratch_;
+  mutable std::vector<std::pair<const uint64_t*, const uint64_t*>>
+      and_operands_;
+  mutable std::vector<uint64_t> tile_scratch_;
 };
 
 }  // namespace core

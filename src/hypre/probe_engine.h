@@ -59,8 +59,8 @@ struct ProbeStats {
   /// Probes answered from cached state with no DB work (memo hits plus
   /// every combination probe answered by the batch prober).
   size_t num_cache_hits = 0;
-  /// Batch frontiers evaluated by BatchProber (CountBatch, CountExtensions,
-  /// CountPairs, EvalBatch calls that reached a kernel).
+  /// Batch frontiers evaluated by BatchProber (CountBatch, CountExtensions
+  /// and CountPairs calls that reached a kernel).
   size_t num_batches = 0;
   /// Probes answered inside those batches (sum of frontier sizes); always
   /// <= num_cache_hits.
@@ -199,8 +199,7 @@ class ProbeEngine {
   /// \brief Size of the dense-id space (forces interning). This INCLUDES
   /// tombstoned ids awaiting recycling, so after deletes it may exceed the
   /// live key count — use CountMatching(nullptr) for the latter. Callers
-  /// sizing bitmaps over dense ids (e.g. EvalBatch outputs) want exactly
-  /// this value.
+  /// sizing bitmaps over dense ids want exactly this value.
   Result<size_t> UniverseSize() const;
 
   /// \brief The key Value for a dense id. Only valid after any probe or

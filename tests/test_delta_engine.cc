@@ -650,13 +650,6 @@ TEST(DeltaEngine, RandomizedMutationDifferential) {
         auto counts = batch.CountBatch(frontier);
         ASSERT_TRUE(counts.ok()) << counts.status().ToString();
         EXPECT_EQ(*counts, expected_counts);
-        std::vector<KeyBitmap> bits;
-        ASSERT_TRUE(batch.EvalBatch(frontier, &bits).ok());
-        ASSERT_EQ(bits.size(), frontier.size());
-        for (size_t f = 0; f < frontier.size(); ++f) {
-          EXPECT_EQ(engine.KeysOf(bits[f]), expected_keys[f])
-              << "batched keys " << f;
-        }
         auto ext = batch.CountExtensions(ext_base_bits, candidates);
         ASSERT_TRUE(ext.ok()) << ext.status().ToString();
         EXPECT_EQ(*ext, expected_ext);

@@ -61,6 +61,8 @@ TEST_F(PepsTest, CompleteOrderMatchesExhaustiveOracle) {
   for (const auto& r : *order) {
     peps_sets.insert(r.combination.SortedMembers());
   }
+  // Each member set is emitted once: the expansion tree has no duplicates.
+  EXPECT_EQ(peps_sets.size(), order->size());
   EXPECT_EQ(peps_sets, oracle_sets);
   // Descending intensity.
   for (size_t i = 0; i + 1 < order->size(); ++i) {
@@ -79,9 +81,13 @@ TEST_F(PepsTest, ApproximateIsSubsetOfComplete) {
   for (const auto& r : *complete_order) {
     complete_sets.insert(r.combination.SortedMembers());
   }
+  EXPECT_EQ(complete_sets.size(), complete_order->size());
+  std::set<std::vector<size_t>> approx_sets;
   for (const auto& r : *approx_order) {
     EXPECT_TRUE(complete_sets.count(r.combination.SortedMembers()) > 0);
+    approx_sets.insert(r.combination.SortedMembers());
   }
+  EXPECT_EQ(approx_sets.size(), approx_order->size());
   EXPECT_LE(approx_order->size(), complete_order->size());
   // Every approximate seed beats the best single preference.
   for (const auto& r : *approx_order) {

@@ -1,4 +1,4 @@
-// Tests for the unified enumeration API (api::Session + EnumeratorRegistry).
+// Tests for the unified enumeration API (api::Session + api::kAlgorithms).
 //
 // The load-bearing guarantee: dispatching an algorithm BY NAME through
 // Session::Enumerate produces byte-identical records/tuples to calling the
@@ -361,7 +361,7 @@ TEST_F(SessionApiTest, TupleSinkStreamsRankOrder) {
   ExpectTuplesEqual(streamed, result.top_k, "ta streamed tuples");
 }
 
-// --- Errors and the registry ----------------------------------------------
+// --- Errors and the algorithm table ---------------------------------------
 
 TEST_F(SessionApiTest, UnknownAlgorithmNameFails) {
   EnumerationRequest request = MakeRequest("combine-three");
@@ -373,14 +373,33 @@ TEST_F(SessionApiTest, UnknownAlgorithmNameFails) {
       << result.status().ToString();
 }
 
-TEST_F(SessionApiTest, RegistryListsAllSixAlgorithms) {
+TEST_F(SessionApiTest, TableListsAllSixAlgorithms) {
   std::vector<std::string> names = session_->Algorithms();
   EXPECT_EQ(names, (std::vector<std::string>{
                        "bias-random", "combine-two", "exhaustive",
                        "partially-combine-all", "peps", "ta"}));
-  for (const CombinationEnumerator* e :
-       EnumeratorRegistry::Global().Enumerators()) {
-    EXPECT_FALSE(e->description().empty());
+  for (const Algorithm& algorithm : kAlgorithms) {
+    EXPECT_FALSE(algorithm.description.empty()) << algorithm.name;
+    EXPECT_NE(algorithm.run, nullptr) << algorithm.name;
+    auto found = FindAlgorithm(algorithm.name);
+    ASSERT_TRUE(found.ok()) << found.status().ToString();
+    EXPECT_EQ(*found, &algorithm);
+  }
+}
+
+TEST_F(SessionApiTest, EmptyPreferencesYieldEmptyResults) {
+  for (const std::string& name : session_->Algorithms()) {
+    for (size_t k : {size_t{0}, size_t{3}}) {
+      EnumerationRequest request = MakeRequest(name);
+      request.preferences = {};
+      request.k = k;
+      auto result = session_->Enumerate(request);
+      ASSERT_TRUE(result.ok())
+          << name << " k=" << k << ": " << result.status().ToString();
+      EXPECT_TRUE(result->records.empty()) << name << " k=" << k;
+      EXPECT_TRUE(result->top_k.empty()) << name << " k=" << k;
+      EXPECT_FALSE(result->truncated) << name << " k=" << k;
+    }
   }
 }
 
