@@ -20,7 +20,6 @@
 #include "hypre/algorithms/peps.h"
 #include "hypre/api/session.h"
 #include "hypre/batch_prober.h"
-#include "hypre/parallel/task_pool.h"
 #include "hypre/parallel/word_kernels.h"
 #include "hypre/probe_engine.h"
 #include "hypre/telemetry/registry.h"
@@ -331,83 +330,15 @@ BatchBench* GetBatchBench() {
 
 void BM_FrontierProbeBatch(benchmark::State& state) {
   BatchBench* b = GetBatchBench();
-  core::ProbeOptions options;
-  options.num_threads = static_cast<size_t>(state.range(0));
-  core::BatchProber batch(b->prober.get(), options);
+  core::BatchProber batch(b->prober.get());
   for (auto _ : state) {
     auto counts = batch.CountBatch(b->frontier);
     benchmark::DoNotOptimize(counts->size());
   }
 }
-BENCHMARK(BM_FrontierProbeBatch)
-    ->Arg(1)
-    ->Arg(4)
-    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_FrontierProbeBatch)->Unit(benchmark::kMicrosecond);
 
-// --- Work-stealing runtime + SIMD word kernels -------------------------------
-//
-// The scaling benches run the work-stealing TaskPool on the same
-// 512-combination frontier (uniform) and on a skewed frontier (many 1-member
-// combinations plus a block of 48-member ones) where per-tile seeding is
-// maximally unbalanced. Arg(0) = num_threads; the pool is a persistent
-// 8-slot TaskPool so >hardware_concurrency thread counts still exercise real
-// stealing on small machines. The kernel benches isolate the SIMD word loops
-// (scalar vs compiled-in best) on a bitmap-sized buffer so the speedup is
-// attributable separately from scheduling.
-
-parallel::TaskPool* BenchPool() {
-  static parallel::TaskPool pool(7);  // 7 workers + caller = 8 slots
-  return &pool;
-}
-
-const std::vector<core::Combination>* GetSkewedFrontier() {
-  static const std::vector<core::Combination>* frontier = [] {
-    BatchBench* b = GetBatchBench();
-    auto* f = new std::vector<core::Combination>();
-    std::vector<size_t> all;
-    for (size_t k = 0; k < b->atoms.size(); ++k) all.push_back(k);
-    // 448 cheap singles + 64 full-width clauses, interleaved so consecutive
-    // tiles alternate between light and heavy work.
-    for (int i = 0; i < 512; ++i) {
-      if (i % 8 == 7) {
-        f->push_back(b->combiner->MixedClause(all));
-      } else {
-        f->push_back(b->combiner->Single(i % b->atoms.size()));
-      }
-    }
-    return f;
-  }();
-  return frontier;
-}
-
-void RunFrontierScheduled(benchmark::State& state, bool skewed) {
-  BatchBench* b = GetBatchBench();
-  core::ProbeOptions options;
-  options.num_threads = static_cast<size_t>(state.range(0));
-  if (options.num_threads != 1) options.pool = BenchPool();
-  core::BatchProber batch(b->prober.get(), options);
-  const std::vector<core::Combination>& frontier =
-      skewed ? *GetSkewedFrontier() : b->frontier;
-  for (auto _ : state) {
-    auto counts = batch.CountBatch(frontier);
-    benchmark::DoNotOptimize(counts->size());
-  }
-  state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations() * frontier.size()));
-}
-
-void BM_FrontierWorkStealing(benchmark::State& state) {
-  RunFrontierScheduled(state, /*skewed=*/false);
-}
-void BM_SkewedFrontierWorkStealing(benchmark::State& state) {
-  RunFrontierScheduled(state, /*skewed=*/true);
-}
-BENCHMARK(BM_FrontierWorkStealing)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_SkewedFrontierWorkStealing)
-    ->Arg(8)
-    ->Unit(benchmark::kMicrosecond);
+// --- SIMD word kernels --------------------------------------------------------
 
 // Kernel-level: one probe-shaped pass (AND two leaf bitmaps, count bits)
 // over a buffer the size of the 400k-key universe bitmap, scalar vs the
@@ -462,11 +393,8 @@ void BM_PopcountKernelActive(benchmark::State& state) {
 BENCHMARK(BM_PopcountKernelScalar);
 BENCHMARK(BM_PopcountKernelActive);
 
-void RunPairTable(benchmark::State& state, bool cold, size_t num_threads = 1) {
+void RunPairTable(benchmark::State& state, bool cold) {
   BatchBench* b = GetBatchBench();
-  core::ProbeOptions options;
-  options.num_threads = num_threads;
-  if (num_threads != 1) options.pool = BenchPool();
   for (auto _ : state) {
     std::unique_ptr<core::QueryEnhancer> fresh;
     const core::QueryEnhancer* enhancer = b->enhancer.get();
@@ -475,7 +403,7 @@ void RunPairTable(benchmark::State& state, bool cold, size_t num_threads = 1) {
                                                     "dblp.pid");
       enhancer = fresh.get();
     }
-    core::Peps peps(&b->atoms, enhancer, options);
+    core::Peps peps(&b->atoms, enhancer);
     Status st = peps.PrecomputePairs();
     if (!st.ok()) {
       state.SkipWithError("precompute failed");
@@ -491,15 +419,8 @@ void BM_PepsPairTableBatch(benchmark::State& state) {
 void BM_PepsPairTableColdBatch(benchmark::State& state) {
   RunPairTable(state, /*cold=*/true);
 }
-void BM_PepsPairTableColdBatchWS(benchmark::State& state) {
-  // Cold pair table on the work-stealing pool: bulk leaf prefetch
-  // first-touches the bitmaps on the pool's workers, then the C(48,2)
-  // pair-count batch fans out over the same slots.
-  RunPairTable(state, /*cold=*/true, /*num_threads=*/8);
-}
 BENCHMARK(BM_PepsPairTableBatch)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_PepsPairTableColdBatch)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_PepsPairTableColdBatchWS)->Unit(benchmark::kMillisecond);
 
 // --- Update throughput: incremental Refresh vs full rebuild -----------------
 //
@@ -693,7 +614,6 @@ api::EnumerationRequest ServingRequest() {
   request.base_query = b->base;
   request.key_column = "dblp.pid";
   request.preferences = b->atoms;
-  request.probe_options.num_threads = 1;
   return request;
 }
 
@@ -1050,7 +970,7 @@ BENCHMARK(BM_CypherProfileListing)->Unit(benchmark::kMicrosecond);
 // Standard benchmark main plus an optional registry dump: when
 // HYPRE_TELEMETRY_DUMP names a file, everything the benchmarks just pushed
 // through the metrics registry (request counters, batch-shape histograms,
-// scheduler gauges) is written there as JSON after the run — CI uploads it
+// admission gauges) is written there as JSON after the run — CI uploads it
 // as an artifact next to the timing output.
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
@@ -1064,7 +984,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (const char* dump_path = std::getenv("HYPRE_TELEMETRY_DUMP")) {
-    BenchPool()->PublishStats();
     std::ofstream out(dump_path);
     out << telemetry::MetricsRegistry::Global().ToJson() << "\n";
     if (!out.good()) {

@@ -61,8 +61,6 @@ void PrintHelp() {
       "current algorithm\n"
       "  budget <probes>                          probe budget per request "
       "(0 = unlimited)\n"
-      "  threads <n>                              probe threads per request "
-      "(1 = serial, 0 = auto)\n"
       "  save <dir>                               checkpoint the session "
       "(snapshot + journal)\n"
       "  open <dir>                               reopen a session from a "
@@ -118,7 +116,6 @@ int main(int argc, char** argv) {
   core::HypreGraph graph;
   std::string algorithm = "peps";
   size_t probe_budget = 0;
-  size_t probe_threads = 1;
   bool trace_requests = false;
 
   std::string line;
@@ -157,14 +154,6 @@ int main(int argc, char** argv) {
       in >> probe_budget;
       std::printf("probe budget = %zu%s\n", probe_budget,
                   probe_budget == 0 ? " (unlimited)" : "");
-      continue;
-    }
-    if (command == "threads") {
-      in >> probe_threads;
-      // Runs on the session's work-stealing pool; 0 auto-detects the
-      // hardware concurrency (clamped to the batch shape per request).
-      std::printf("probe threads = %zu%s\n", probe_threads,
-                  probe_threads == 0 ? " (auto)" : "");
       continue;
     }
     if (command == "stats") {
@@ -242,7 +231,6 @@ int main(int argc, char** argv) {
       // PEPS's pre-API TopK(0) behavior).
       request.k = k == 0 ? ~size_t{0} : k;
       request.probe_budget = probe_budget;
-      request.probe_options.num_threads = probe_threads;
       request.trace = trace_requests;
       bool parse_failed = false;
       for (const auto& entry : graph.ListPreferences(kShellUser)) {

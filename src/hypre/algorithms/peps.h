@@ -50,8 +50,7 @@ class Peps {
   /// bitmap-backed probe engine: the preference leaf bitmaps are
   /// bulk-prefetched in one executor pass, the pair table is one batched
   /// upper-triangle pass, and DFS expansion batches all candidate
-  /// extensions of a popped frame into one blocked shard pass (optionally
-  /// multi-threaded via options.num_threads).
+  /// extensions of a popped frame into one blocked shard pass.
   explicit Peps(const std::vector<PreferenceAtom>* preferences,
                 const QueryEnhancer* enhancer,
                 ProbeOptions options = ProbeOptions{});

@@ -154,14 +154,13 @@ struct Algorithm {
   std::string_view name;
   std::string_view description;
   /// Runs the algorithm core over the session's cached `enhancer` and the
-  /// intensity-sorted `preferences`, with the request's knobs, the resolved
-  /// `options` (the session's pool injected) and the budget/sink `control`.
+  /// intensity-sorted `preferences`, with the request's knobs (probe
+  /// options included) and the budget/sink `control`.
   /// Fills result->records / result->top_k and the bias-random tallies; the
   /// session owns stats, epoch and truncated.
   Status (*run)(const core::QueryEnhancer& enhancer,
                 const std::vector<core::PreferenceAtom>& preferences,
                 const EnumerationRequest& request,
-                const core::ProbeOptions& options,
                 const core::EnumerationControl& control,
                 EnumerationResult* result);
 };

@@ -19,7 +19,6 @@ namespace api {
 
 using core::EnumerationControl;
 using core::PreferenceAtom;
-using core::ProbeOptions;
 using core::QueryEnhancer;
 
 const std::array<Algorithm, 6> kAlgorithms = {{
@@ -28,13 +27,12 @@ const std::array<Algorithm, 6> kAlgorithms = {{
      "seed)",
      [](const QueryEnhancer& enhancer,
         const std::vector<PreferenceAtom>& preferences,
-        const EnumerationRequest& request, const ProbeOptions& options,
-        const EnumerationControl& control,
+        const EnumerationRequest& request, const EnumerationControl& control,
         EnumerationResult* result) -> Status {
        HYPRE_ASSIGN_OR_RETURN(
            core::BiasRandomResult run,
            core::BiasRandomSelection(preferences, enhancer, request.seed,
-                                     options, control));
+                                     request.probe_options, control));
        result->records = std::move(run.records);
        result->valid_checks = run.valid_checks;
        result->invalid_checks = run.invalid_checks;
@@ -44,49 +42,46 @@ const std::array<Algorithm, 6> kAlgorithms = {{
      "all C(N,2) preference pairs (Algorithms 2/3; AND or AND/OR)",
      [](const QueryEnhancer& enhancer,
         const std::vector<PreferenceAtom>& preferences,
-        const EnumerationRequest& request, const ProbeOptions& options,
-        const EnumerationControl& control,
+        const EnumerationRequest& request, const EnumerationControl& control,
         EnumerationResult* result) -> Status {
        HYPRE_ASSIGN_OR_RETURN(
            result->records,
-           core::CombineTwo(preferences, enhancer, request.semantics, options,
-                            control));
+           core::CombineTwo(preferences, enhancer, request.semantics,
+                            request.probe_options, control));
        return Status::OK();
      }},
     {"exhaustive",
      "every non-empty AND subset (2^N - 1 probes; reference oracle)",
      [](const QueryEnhancer& enhancer,
         const std::vector<PreferenceAtom>& preferences,
-        const EnumerationRequest& request, const ProbeOptions& options,
-        const EnumerationControl& control,
+        const EnumerationRequest& request, const EnumerationControl& control,
         EnumerationResult* result) -> Status {
        HYPRE_ASSIGN_OR_RETURN(
            result->records,
            core::ExhaustiveAndCombinations(
-               preferences, enhancer, request.max_exhaustive_n, options,
-               control));
+               preferences, enhancer, request.max_exhaustive_n,
+               request.probe_options, control));
        return Status::OK();
      }},
     {"partially-combine-all",
      "growing mixed AND/OR clauses, one preference at a time (Algorithm 4)",
      [](const QueryEnhancer& enhancer,
         const std::vector<PreferenceAtom>& preferences,
-        const EnumerationRequest& /*request*/, const ProbeOptions& options,
-        const EnumerationControl& control,
+        const EnumerationRequest& request, const EnumerationControl& control,
         EnumerationResult* result) -> Status {
        HYPRE_ASSIGN_OR_RETURN(
            result->records,
-           core::PartiallyCombineAll(preferences, enhancer, options, control));
+           core::PartiallyCombineAll(preferences, enhancer,
+                                     request.probe_options, control));
        return Status::OK();
      }},
     {"peps",
      "pair-table-pruned expansion (Algorithm 6); k > 0 ranks tuples",
      [](const QueryEnhancer& enhancer,
         const std::vector<PreferenceAtom>& preferences,
-        const EnumerationRequest& request, const ProbeOptions& options,
-        const EnumerationControl& control,
+        const EnumerationRequest& request, const EnumerationControl& control,
         EnumerationResult* result) -> Status {
-       core::Peps peps(&preferences, &enhancer, options);
+       core::Peps peps(&preferences, &enhancer, request.probe_options);
        if (request.k > 0) {
          HYPRE_ASSIGN_OR_RETURN(result->top_k,
                                 peps.TopK(request.k, request.mode, control));
@@ -101,8 +96,7 @@ const std::array<Algorithm, 6> kAlgorithms = {{
      "baseline)",
      [](const QueryEnhancer& enhancer,
         const std::vector<PreferenceAtom>& preferences,
-        const EnumerationRequest& request, const ProbeOptions& /*options*/,
-        const EnumerationControl& control,
+        const EnumerationRequest& request, const EnumerationControl& control,
         EnumerationResult* result) -> Status {
        HYPRE_ASSIGN_OR_RETURN(
            result->top_k,

@@ -1,7 +1,7 @@
 // Admission scheduler: graceful degradation for many-client serving.
 //
 // Thousands of concurrent Enumerate() callers on one Session would all
-// pile onto the shared TaskPool and the engine caches at once; past the
+// pile onto the cores and the engine caches at once; past the
 // core count that buys no throughput, only latency variance and memory
 // pressure (every admitted request holds its frontier buffers and an
 // epoch pin). The scheduler turns that cliff into a queue: requests are

@@ -99,32 +99,7 @@ Result<core::QueryEnhancer*> Session::GetEnhancer(
            .emplace(std::move(key), std::make_unique<core::QueryEnhancer>(
                                         db_, base_query, key_column))
            .first;
-  // A pool created before this engine existed missed it in its attach
-  // sweep; attaching under the unique lock pairs with that sweep's shared
-  // lock, so exactly one of the two paths always sees the other's work.
-  if (parallel::TaskPool* pool = pool_ptr_.load(std::memory_order_acquire)) {
-    it->second->probe_engine().set_task_pool(pool);
-  }
   return it->second.get();
-}
-
-parallel::TaskPool* Session::task_pool() {
-  if (parallel::TaskPool* pool = pool_ptr_.load(std::memory_order_acquire)) {
-    return pool;
-  }
-  std::lock_guard<std::mutex> lock(pool_mu_);
-  if (!pool_) {
-    pool_ = std::make_unique<parallel::TaskPool>();
-    // Publish BEFORE the attach sweep: an engine inserted concurrently
-    // either lands in the sweep below or observes the published pointer in
-    // GetEnhancer — never neither.
-    pool_ptr_.store(pool_.get(), std::memory_order_release);
-    std::shared_lock<std::shared_mutex> engines(enhancers_mu_);
-    for (auto& [key, enhancer] : enhancers_) {
-      enhancer->probe_engine().set_task_pool(pool_.get());
-    }
-  }
-  return pool_.get();
 }
 
 Result<uint64_t> Session::Refresh() {
@@ -498,17 +473,6 @@ Status Session::EnumerateInternal(const EnumerationRequest& request,
   std::vector<core::PreferenceAtom> atoms = request.preferences;
   core::SortByIntensityDesc(&atoms);
 
-  // Resolve the request's runtime: if it asks for parallelism (num_threads
-  // 0 = auto, or > 1) without naming a pool, inject the session's shared
-  // TaskPool — one persistent set of workers serves every request. The
-  // resolution lands ONLY in this request's ProbeOptions copy; the engine
-  // itself got the pool attached once at creation (writing its atomic
-  // per-request would thrash other in-flight requests' allocation paths).
-  core::ProbeOptions probe_options = request.probe_options;
-  if (probe_options.pool == nullptr && probe_options.num_threads != 1) {
-    probe_options.pool = task_pool();
-  }
-
   // Shared leaf prefetch: load every leaf the request's preferences reach
   // in ONE executor pass. The engine's leaf cache persists across requests,
   // so later requests over the same query spec dedup to a no-op here.
@@ -528,8 +492,8 @@ Status Session::EnumerateInternal(const EnumerationRequest& request,
 
   {
     telemetry::TraceSpan span("api", "run_algorithm");
-    HYPRE_RETURN_NOT_OK(algorithm->run(*enhancer, atoms, request,
-                                       probe_options, control, result));
+    HYPRE_RETURN_NOT_OK(
+        algorithm->run(*enhancer, atoms, request, control, result));
   }
   result->stats = request_stats;
   HYPRE_TELEMETRY_STMT(FoldRequestStats(
@@ -537,12 +501,6 @@ Status Session::EnumerateInternal(const EnumerationRequest& request,
       uint64_t(std::chrono::duration_cast<std::chrono::microseconds>(
                    std::chrono::steady_clock::now() - request_start)
                    .count())));
-  // Scheduler counters are cumulative; mirroring them after each request
-  // keeps the registry's view current without touching the probe path.
-  if (parallel::TaskPool* pool = pool_ptr_.load(std::memory_order_acquire)) {
-    HYPRE_TELEMETRY_STMT(pool->PublishStats());
-    (void)pool;
-  }
   return Status::OK();
 }
 

@@ -42,22 +42,18 @@
 //                   auto-checkpoint policy against each other
 //   enhancers_mu_ — shared_mutex over the enhancer cache: shared for
 //                   lookup/iteration, unique only for first-touch insert
-//   pool_mu_      — one-time creation of the shared TaskPool (published
-//                   through an atomic so readers never take it)
 //   per-engine    — ProbeEngine's refresh_mu_ then cache_mu_
 //
-// A session owns ONE work-stealing parallel::TaskPool (created lazily on
-// the first request that asks for more than one probe thread), attaches it
-// to every cached engine's allocation paths once, and injects it into each
-// request's resolved ProbeOptions — all batches of all requests share a
-// single set of persistent, parked-when-idle workers. Concurrent requests
-// also pass the AdmissionScheduler (see api/scheduler.h): strict-FIFO
-// admission under a configurable concurrency cap and a bound on summed
-// in-flight probe budgets; both caps default to unlimited.
+// Every request's probes run inline on the calling thread; the session's
+// parallelism is its concurrent requests. They pass the AdmissionScheduler
+// (see api/scheduler.h): strict-FIFO admission under a configurable
+// concurrency cap and a bound on summed in-flight probe budgets; both caps
+// default to unlimited.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -70,12 +66,28 @@
 #include "common/status.h"
 #include "hypre/api/enumeration.h"
 #include "hypre/api/scheduler.h"
-#include "hypre/parallel/task_pool.h"
 #include "hypre/query_enhancement.h"
 #include "hypre/storage/store.h"
 #include "reldb/database.h"
 
 namespace hypre {
+namespace parallel {
+
+// servebench/main.cc still reports the `parallel.steals`/`parks` metrics
+// of the work-stealing pool the probe path no longer has. This stub (with
+// Session::has_task_pool/task_pool below) keeps it building and reading 0;
+// it goes when the next benchmark change drops those two metrics.
+class TaskPool {
+ public:
+  struct Stats {
+    uint64_t steals = 0;
+    uint64_t parks = 0;
+  };
+  Stats DumpStats() const { return {}; }
+};
+
+}  // namespace parallel
+
 namespace api {
 
 class Session {
@@ -140,15 +152,9 @@ class Session {
     return enhancers_.size();
   }
 
-  /// \brief The session's work-stealing pool, created (auto-sized) on first
-  /// use — safe to race; exactly one pool is ever built. Requests that
-  /// leave ProbeOptions::pool null and ask for more than one thread run
-  /// their batches here.
-  parallel::TaskPool* task_pool();
-  /// \brief True once a request has forced pool creation.
-  bool has_task_pool() const {
-    return pool_ptr_.load(std::memory_order_acquire) != nullptr;
-  }
+  /// \brief servebench bridge (see parallel::TaskPool above): no pool.
+  bool has_task_pool() const { return false; }
+  parallel::TaskPool* task_pool() { return nullptr; }
 
   /// \brief The request admission scheduler. Unlimited by default;
   /// configure with scheduler().set_options({...}) to cap concurrent
@@ -237,12 +243,6 @@ class Session {
   };
   std::unique_ptr<reldb::Database> owned_db_;
   const reldb::Database* db_;
-  // Lazily created shared runtime for all requests (see task_pool()).
-  // pool_mu_ serializes the one-time construction; pool_ptr_ republishes
-  // the pointer so the request path reads it with one atomic load.
-  std::mutex pool_mu_;
-  std::unique_ptr<parallel::TaskPool> pool_;
-  std::atomic<parallel::TaskPool*> pool_ptr_{nullptr};
   // (base query SQL + key column) -> the one enhancer/engine all requests
   // over that query share. enhancers_mu_ guards the MAP (shared for
   // lookup, unique for first-touch insert); entries are unique_ptrs, so

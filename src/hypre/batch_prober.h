@@ -10,21 +10,15 @@
 // through parallel::ActiveWordKernels() (AVX2 when the build compiles it
 // in, the portable scalar kernels under -DHYPRE_SIMD=OFF).
 //
-// Parallelism: the blocked pass is cut into shard × frontier-block TILES
-// (one tile = one shard's words × a block of combinations). With one
-// effective thread the calling thread walks every tile inline with no
-// scratch allocation; otherwise the tiles run on a persistent
-// parallel::TaskPool with per-slot Chase-Lev deques and lazy binary
-// splitting, so skewed tiles (mixed combination sizes, warm/cold leaves,
-// tail shards) rebalance automatically and no per-batch thread spawn is
-// paid.
-//
-// Every entry point runs its tiles through one private helper, which plans
-// the tiles, runs them, and sums per-tile popcounts through per-slot count
-// buffers reduced in slot order — so counts are exact and byte-identical
-// for every shard width, thread count, and steal order. The tests hold the
-// batch layer to an independent oracle: CombinationProber::BitsInto
-// followed by KeyBitmap::Count, per combination (tests/probe_oracle.h).
+// Every entry point runs its kernel through one private loop over the
+// shards, inline on the calling thread, adding each shard's popcounts into
+// the per-combination counts — so counts are exact and identical for every
+// shard width. A request's batches stay on its own thread: the server's
+// parallelism is its concurrent requests. Compiled operands and the shard
+// scratch live in reused members, so a batch allocates nothing per call
+// beyond the returned counts. The tests hold the batch layer to an
+// independent oracle: CombinationProber::BitsInto followed by
+// KeyBitmap::Count, per combination (tests/probe_oracle.h).
 //
 // All probes are answered from the per-preference bitmaps the shared
 // CombinationProber caches; the only DB work on this path is the bulk leaf
@@ -49,10 +43,6 @@
 #include "hypre/key_bitmap.h"
 
 namespace hypre {
-namespace parallel {
-class TaskPool;
-}  // namespace parallel
-
 namespace core {
 
 /// \brief Knobs for the batch probe layer, threaded through the combination
@@ -64,21 +54,12 @@ struct ProbeOptions {
   /// shard) keeps ~50 concurrent leaves inside a 256 KiB L2 while keeping
   /// the per-shard loop overhead small.
   size_t shard_words = 512;
-  /// Worker threads for tile evaluation. 1 (the default) evaluates inline
-  /// on the calling thread; 0 = AUTO-DETECT: use
-  /// std::thread::hardware_concurrency(), clamped to the tile count so no
-  /// slot starts idle (in particular never more threads than shards when
-  /// the frontier fits one block). Values > 1 are likewise clamped.
-  size_t num_threads = 1;
-  /// Work-stealing pool to run on. nullptr = the process-wide
-  /// parallel::TaskPool::Shared(). api::Session injects its own session
-  /// pool here. Not owned; must outlive the batch prober's calls.
-  parallel::TaskPool* pool = nullptr;
 };
 
-/// \brief Evaluates frontiers of combinations in blocked, optionally
-/// multi-threaded passes over the shared CombinationProber's cached
-/// per-preference bitmaps. `prober` must outlive the batch prober.
+/// \brief Evaluates frontiers of combinations in blocked passes over the
+/// shared CombinationProber's cached per-preference bitmaps. `prober` must
+/// outlive the batch prober. Not thread-safe (calls share reused scratch);
+/// every algorithm run builds its own.
 class BatchProber {
  public:
   explicit BatchProber(const CombinationProber* prober,
@@ -123,31 +104,31 @@ class BatchProber {
     size_t num_words = 0;
   };
 
-  Result<CompiledFrontier> Compile(
-      const std::vector<Combination>& frontier) const;
+  /// Compiles `frontier` into plan_, reusing its storage.
+  Status Compile(const std::vector<Combination>& frontier) const;
   /// popcount(a & b) — and the live mask when the engine has tombstones —
   /// for every operand pair in and_operands_, each `num_words` words long.
   /// The one kernel behind CountExtensions and CountPairs.
   Result<std::vector<size_t>> CountAnds(size_t num_words) const;
   /// Runs one batch of `num_items` probes over `num_words` words and
-  /// returns its counts. Plans the shard × item-block tiles, runs
-  /// `kernel(w0, w1, i0, i1, counts, scratch)` on every tile exactly once
-  /// (inline on the calling thread, or on the pool), sums the per-slot
-  /// counts in slot order and records the batch stats. `counts` is indexed
-  /// by item; `scratch` holds two shard-wide word buffers private to the
-  /// running slot.
+  /// returns its counts: calls `kernel(w0, w1, counts)` once per shard
+  /// [w0, w1), in order, then records the batch stats. The kernel adds the
+  /// shard's popcount of every item into counts[item].
   template <typename Kernel>
-  std::vector<size_t> RunTiles(size_t num_words, size_t num_items,
-                               Kernel&& kernel) const;
+  std::vector<size_t> RunShards(size_t num_words, size_t num_items,
+                                Kernel&& kernel) const;
 
   const CombinationProber* prober_;
   ProbeOptions options_;
-  // Reused scratch for the inline path (CountExtensions runs once per
-  // popped PEPS DFS frame), so a one-slot batch does no per-call heap
-  // allocation beyond the returned counts.
+  // Reused per-call state (CountExtensions runs once per popped PEPS DFS
+  // frame, CountBatch once per exhaustive generation), so a batch does no
+  // heap allocation beyond the returned counts once these have grown.
+  mutable CompiledFrontier plan_;
   mutable std::vector<std::pair<const uint64_t*, const uint64_t*>>
       and_operands_;
-  mutable std::vector<uint64_t> tile_scratch_;
+  // Two shard-wide word buffers for CountBatch: the OR-group fold and the
+  // AND accumulator.
+  mutable std::vector<uint64_t> shard_scratch_;
 };
 
 }  // namespace core

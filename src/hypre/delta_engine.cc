@@ -3,7 +3,6 @@
 #include <chrono>
 #include <utility>
 
-#include "hypre/parallel/task_pool.h"
 #include "hypre/telemetry/registry.h"
 #include "hypre/telemetry/trace.h"
 #include "reldb/executor.h"
@@ -104,24 +103,7 @@ Status DeltaEngine::ApplyAppends(
   size_t new_size = engine_->dict_.size();
   if (new_size > engine_->universe_.num_bits()) {
     engine_->universe_.Resize(new_size);
-    // Tail-growth fans out per leaf on the engine's pool when one is
-    // attached: each cached bitmap's resize (realloc + copy + zero-fill) is
-    // independent work, and large caches make this the dominant cost of an
-    // append-heavy Refresh. (After a FullRebuild compaction the leaf cache
-    // re-populates through PrefetchLeaves, which already first-touches on
-    // the same pool.)
-    parallel::TaskPool* pool = engine_->task_pool();
-    if (pool != nullptr && leaf_bits.size() > 1) {
-      pool->ParallelFor(
-          leaf_bits.size(), /*grain=*/1, engine_->task_pool_threads(),
-          [&leaf_bits, new_size](size_t begin, size_t end, size_t /*slot*/) {
-            for (size_t i = begin; i < end; ++i) {
-              leaf_bits[i]->Resize(new_size);
-            }
-          });
-    } else {
-      for (KeyBitmap* bits : leaf_bits) bits->Resize(new_size);
-    }
+    for (KeyBitmap* bits : leaf_bits) bits->Resize(new_size);
   }
   for (uint32_t id : tuple_ids) engine_->universe_.Set(id);
   for (const auto& [p, id] : leaf_sets) leaf_bits[p]->Set(id);

@@ -1,44 +1,14 @@
 #include "hypre/key_bitmap.h"
 
-#include <cstring>
-
-#include "hypre/parallel/task_pool.h"
 #include "hypre/parallel/word_kernels.h"
 
 namespace hypre {
 namespace core {
 
-namespace {
-
-// First-touch zeroing grain: 512 words = 4 KiB = one page, so page placement
-// follows the zeroing worker exactly.
-constexpr size_t kZeroGrainWords = 512;
-
-}  // namespace
-
 KeyBitmap::KeyBitmap(size_t num_bits, bool all_set)
     : num_bits_(num_bits),
       words_((num_bits + 63) / 64, all_set ? ~uint64_t{0} : uint64_t{0}) {
   if (all_set) ClearTail();
-}
-
-KeyBitmap::KeyBitmap(size_t num_bits, parallel::TaskPool* pool,
-                     size_t max_workers)
-    : num_bits_(num_bits) {
-  size_t num_words = (num_bits + 63) / 64;
-  // Default-init resize: the aligned allocator's zero-arg construct is a
-  // no-op, so no page is touched here.
-  words_.resize(num_words);
-  uint64_t* data = words_.data();
-  if (pool != nullptr && num_words > kZeroGrainWords) {
-    pool->ParallelFor(num_words, kZeroGrainWords, max_workers,
-                      [data](size_t begin, size_t end, size_t /*slot*/) {
-                        std::memset(data + begin, 0,
-                                    (end - begin) * sizeof(uint64_t));
-                      });
-  } else if (num_words > 0) {
-    std::memset(data, 0, num_words * sizeof(uint64_t));
-  }
 }
 
 void KeyBitmap::Resize(size_t num_bits) {

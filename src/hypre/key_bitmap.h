@@ -22,10 +22,6 @@
 #include "hypre/parallel/aligned_alloc.h"
 
 namespace hypre {
-namespace parallel {
-class TaskPool;
-}  // namespace parallel
-
 namespace core {
 
 class KeyBitmap {
@@ -34,21 +30,13 @@ class KeyBitmap {
   /// in words of this size.
   static constexpr size_t kWordBits = 64;
 
-  /// Aligned, default-initializing word storage (see aligned_alloc.h).
+  /// Cache-line-aligned word storage (see aligned_alloc.h).
   using WordVector =
-      std::vector<uint64_t, parallel::AlignedNoInitAllocator<uint64_t>>;
+      std::vector<uint64_t, parallel::AlignedAllocator<uint64_t>>;
 
   KeyBitmap() = default;
   /// \brief A bitmap of `num_bits` bits, all clear (or all set).
   explicit KeyBitmap(size_t num_bits, bool all_set = false);
-  /// \brief A cleared bitmap of `num_bits` bits whose words are zeroed IN
-  /// PARALLEL on `pool` (first-touch NUMA placement: each page lands on the
-  /// node of the worker that zeroes it, which is the worker set that later
-  /// probes it). `max_workers` caps the zeroing slots (0 = all). A null
-  /// pool (or a tiny bitmap) zeroes inline, identical to KeyBitmap(n).
-  /// NOTE: pass a typed TaskPool* — a literal nullptr is ambiguous against
-  /// the bool overload.
-  KeyBitmap(size_t num_bits, parallel::TaskPool* pool, size_t max_workers = 0);
 
   size_t num_bits() const { return num_bits_; }
   size_t num_words() const { return words_.size(); }

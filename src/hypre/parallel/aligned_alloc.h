@@ -1,36 +1,25 @@
-// 64-byte-aligned, default-initializing allocator for bitmap word storage.
+// 64-byte-aligned allocator for bitmap word storage.
 //
-// Two properties matter for the probe path:
-//
-//  * Alignment: word arrays start on a cache-line (and AVX2-friendly)
-//    boundary, so the SIMD kernels never straddle a line at word 0 and
-//    per-shard slices share no false-sharing line with the vector header.
-//  * Default-init on resize: the zero-argument construct() is a no-op, so
-//    vector<uint64_t, AlignedNoInitAllocator>::resize() leaves new memory
-//    UNINITIALIZED instead of memset-ing it on the calling thread. The
-//    first touch then happens in a parallel zeroing pass (see
-//    KeyBitmap(num_bits, pool)), which places each page on the NUMA node of
-//    the worker that will probe it — first-touch placement without any
-//    libnuma dependency. Callers that skip the pool path still get zeroed
-//    words because KeyBitmap's scalar constructors zero explicitly.
+// Word arrays start on a cache-line (and AVX2-friendly) boundary, so the
+// SIMD kernels never straddle a line at word 0 and per-shard slices share
+// no false-sharing line with the vector header.
 #pragma once
 
 #include <cstddef>
 #include <new>
-#include <utility>
 
 namespace hypre {
 namespace parallel {
 
 template <typename T>
-class AlignedNoInitAllocator {
+class AlignedAllocator {
  public:
   using value_type = T;
   static constexpr std::align_val_t kAlignment{64};
 
-  AlignedNoInitAllocator() noexcept = default;
+  AlignedAllocator() noexcept = default;
   template <typename U>
-  AlignedNoInitAllocator(const AlignedNoInitAllocator<U>&) noexcept {}
+  AlignedAllocator(const AlignedAllocator<U>&) noexcept {}
 
   T* allocate(size_t n) {
     return static_cast<T*>(::operator new(n * sizeof(T), kAlignment));
@@ -39,27 +28,15 @@ class AlignedNoInitAllocator {
     ::operator delete(p, kAlignment);
   }
 
-  /// Zero-argument construct is a no-op: resize() default-initializes
-  /// (i.e. leaves trivially-constructible words uninitialized).
-  template <typename U>
-  void construct(U*) noexcept {}
-  /// Value construction forwards as usual (copies, fills).
-  template <typename U, typename... Args>
-  void construct(U* p, Args&&... args) {
-    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
-  }
-
   template <typename U>
   struct rebind {
-    using other = AlignedNoInitAllocator<U>;
+    using other = AlignedAllocator<U>;
   };
 
-  friend bool operator==(const AlignedNoInitAllocator&,
-                         const AlignedNoInitAllocator&) {
+  friend bool operator==(const AlignedAllocator&, const AlignedAllocator&) {
     return true;
   }
-  friend bool operator!=(const AlignedNoInitAllocator&,
-                         const AlignedNoInitAllocator&) {
+  friend bool operator!=(const AlignedAllocator&, const AlignedAllocator&) {
     return false;
   }
 };

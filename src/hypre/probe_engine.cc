@@ -434,10 +434,7 @@ Result<const KeyBitmap*> ProbeEngine::LeafBitmap(
   NoteLeafQueries(1);
   reldb::Query query = base_query_;
   query.where = query.where ? reldb::MakeAnd(query.where, expr) : expr;
-  // First-touch: with a pool attached the fresh bitmap's pages are zeroed
-  // by the workers that will probe them.
-  auto bits = std::make_unique<KeyBitmap>(dict_.size(), task_pool(),
-                                          task_pool_threads());
+  auto bits = std::make_unique<KeyBitmap>(dict_.size());
   HYPRE_RETURN_NOT_OK(executor_.ForEachDenseId(
       query, key_column_, dict_, [&](uint32_t id) { bits->Set(id); }));
   const KeyBitmap* ptr = bits.get();
@@ -483,8 +480,7 @@ Status ProbeEngine::PrefetchLeaves(
   std::vector<std::unique_ptr<KeyBitmap>> bitmaps;
   bitmaps.reserve(pending.size());
   for (size_t i = 0; i < pending.size(); ++i) {
-    bitmaps.push_back(std::make_unique<KeyBitmap>(dict_.size(), task_pool(),
-                                                  task_pool_threads()));
+    bitmaps.push_back(std::make_unique<KeyBitmap>(dict_.size()));
   }
   HYPRE_RETURN_NOT_OK(executor_.ForEachDenseIdMulti(
       base_query_, key_column_, dict_, pending,

@@ -37,10 +37,6 @@
 #include "reldb/expr.h"
 
 namespace hypre {
-namespace parallel {
-class TaskPool;
-}  // namespace parallel
-
 namespace core {
 
 class DeltaEngine;
@@ -66,7 +62,7 @@ struct ProbeStats {
   /// <= num_cache_hits.
   size_t num_batched_probes = 0;
   /// Blocked shard passes the batch kernels walked (shards per batch,
-  /// summed) — the unit the thread split and a future node split divide.
+  /// summed).
   size_t num_shard_passes = 0;
 
   ProbeStats operator-(const ProbeStats& earlier) const {
@@ -106,9 +102,8 @@ class ProbeEngine;
 /// \brief Installs `sink` as this thread's per-request ProbeStats collector
 /// for the scope, restoring whatever was active before on destruction (like
 /// telemetry::ScopedTraceTarget). The collector is thread_local: all probe
-/// accounting happens on the request thread (pool workers only zero and
-/// scan bitmaps), so one collector per request is exact even when many
-/// requests share one engine. On destruction the collected stats are folded
+/// work runs on the request thread, so one collector per request is exact
+/// even when many requests share one engine. On destruction the collected stats are folded
 /// into `engine`'s lifetime counters (on every exit path, including
 /// errors); until then the engine's counters lag by the in-flight request.
 class ScopedProbeStatsCollector {
@@ -366,28 +361,6 @@ class ProbeEngine {
   /// an epoch rebuild).
   void set_delta_options(const DeltaOptions& options);
 
-  /// \brief Attaches a work-stealing pool to the engine's allocation paths:
-  /// leaf and prefetch bitmaps are then zeroed in parallel on the pool
-  /// (first-touch NUMA placement — each page lands on the node of the
-  /// worker that later probes it), and the delta layer's tail-growth resize
-  /// fans the per-leaf work out. `max_threads` caps the slots used (0 =
-  /// all). The pool is not owned and must outlive the engine's probe calls;
-  /// null detaches. Const because attachment is a performance hint, not
-  /// observable state (api::Session attaches through its const engine ref).
-  /// The fields are atomic so a session may attach its lazily created pool
-  /// while other requests are probing; per-REQUEST thread caps belong in
-  /// ProbeOptions, not here (attachment is engine-lifetime, set once).
-  void set_task_pool(parallel::TaskPool* pool, size_t max_threads = 0) const {
-    pool_.store(pool, std::memory_order_release);
-    pool_threads_.store(max_threads, std::memory_order_relaxed);
-  }
-  parallel::TaskPool* task_pool() const {
-    return pool_.load(std::memory_order_acquire);
-  }
-  size_t task_pool_threads() const {
-    return pool_threads_.load(std::memory_order_relaxed);
-  }
-
   // Probe statistics contract:
   //  * num_leaf_queries counts leaf-bitmap materializations against the
   //    database, exactly one per DISTINCT canonical leaf — whether the leaf
@@ -555,9 +528,6 @@ class ProbeEngine {
   mutable std::atomic<size_t> num_batches_{0};
   mutable std::atomic<size_t> num_batched_probes_{0};
   mutable std::atomic<size_t> num_shard_passes_{0};
-  // First-touch allocation pool (see set_task_pool); null = inline zeroing.
-  mutable std::atomic<parallel::TaskPool*> pool_{nullptr};
-  mutable std::atomic<size_t> pool_threads_{0};
   std::unique_ptr<DeltaEngine> delta_;
 };
 

@@ -14,10 +14,9 @@
 // TraceSpan reads a thread_local active-trace pointer, so instrumentation
 // sites need no plumbing — storage code deep under Session::Enumerate lands
 // its spans in the right request automatically. The flip side: spans are
-// recorded only on the thread that installed the target. TaskPool workers
-// do NOT see the thread_local, so per-task work inside ParallelFor is
-// aggregated by the registry's counters/histograms instead of traced —
-// deliberate, since a 64-worker batch would blow any per-request buffer.
+// recorded only on the thread that installed the target; work a request
+// hands to another thread is aggregated by the registry's
+// counters/histograms instead of traced.
 //
 // The buffer is bounded (kDefaultMaxSpans); once full, new spans still time
 // themselves but are dropped, counted in dropped(). Span names and layers

@@ -2,8 +2,8 @@
 // probe result is checked against.
 //
 // The library has one probe path, BatchProber (src/hypre/batch_prober.h),
-// which compiles a frontier to flat word-pointer arrays and walks it in
-// shard × frontier-block tiles. The oracle shares none of that machinery:
+// which compiles a frontier to flat word-pointer arrays and walks it shard
+// by shard. The oracle shares none of that machinery:
 // it evaluates ONE combination at a time with CombinationProber::BitsInto
 // (OR within groups, AND across groups, then the live mask) and counts the
 // result with KeyBitmap::Count. It plays the role HashSetReference plays

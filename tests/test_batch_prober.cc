@@ -1,8 +1,8 @@
 // BatchProber tests: randomized differential sweep of the batched, sharded
 // probe kernels against the per-combination oracle (probe_oracle.h:
-// BitsInto, then Count) across shard widths (1 word, 4 words,
-// universe-in-one-shard) and thread counts (1, 4, 8 on a real work-stealing
-// pool, auto); degenerate frontiers; the probe-statistics contract under
+// BitsInto, then Count) across shard widths (1 word, widths that do and do
+// not divide the word count, wider than the bitmap); degenerate frontiers;
+// one batch prober reused across frontiers; the probe-statistics contract under
 // prefetch; and every combination algorithm's records checked against the
 // same oracle, identical across probe configurations. Which word kernels
 // run is a build choice (-DHYPRE_SIMD=OFF selects the portable ones); the
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "hypre/parallel/task_pool.h"
 #include "hypre/algorithms/bias_random.h"
 #include "hypre/algorithms/combine_two.h"
 #include "hypre/algorithms/exhaustive.h"
@@ -37,34 +36,22 @@ using testing_fixtures::BuildMiniDblp;
 using testing_fixtures::MiniBaseQuery;
 using testing_fixtures::MiniPreferences;
 
-// A real work-stealing pool for the parallel matrix entries: the machine
-// running the tests may report 1 hardware thread (which would make the
-// shared pool run everything inline), so the sweep pins an explicit 8-slot
-// pool to genuinely exercise steals.
-parallel::TaskPool* TestPool() {
-  static parallel::TaskPool pool(7);  // 7 workers + caller = 8 slots
-  return &pool;
-}
-
-// The shard-width / thread-count matrix every differential sweep runs:
-// one-word shards (maximum shard count), small shards, and a shard wide
-// enough to hold any test universe in one piece; serial, 4-way on the
-// shared pool, 8-way on the explicit 8-slot pool, and num_threads = 0
-// (auto-detect).
+// The shard-width matrix every differential sweep runs. The random
+// workload's universe is 300 keys = 5 words, so: one-word shards (maximum
+// shard count), 2 and 3 (do not divide 5: a short tail shard), 4 (one full
+// shard plus a one-word tail), 7 (wider than the bitmap: one short shard),
+// the 512-word default, and a shard wide enough for any universe.
 std::vector<ProbeOptions> OptionMatrix() {
   std::vector<ProbeOptions> matrix;
-  for (size_t shard_words : {size_t{1}, size_t{4}, size_t{1} << 20}) {
-    matrix.push_back(ProbeOptions{shard_words, 1});
-    matrix.push_back(ProbeOptions{shard_words, 4});
-    matrix.push_back(ProbeOptions{shard_words, 8, TestPool()});
-    matrix.push_back(ProbeOptions{shard_words, 0, TestPool()});
+  for (size_t shard_words : {size_t{1}, size_t{2}, size_t{3}, size_t{4},
+                             size_t{7}, size_t{512}, size_t{1} << 20}) {
+    matrix.push_back(ProbeOptions{shard_words});
   }
   return matrix;
 }
 
 std::string DescribeOptions(const ProbeOptions& options) {
-  return "shard_words=" + std::to_string(options.shard_words) +
-         " threads=" + std::to_string(options.num_threads);
+  return "shard_words=" + std::to_string(options.shard_words);
 }
 
 /// Random papers/tags workload (same shape as the probe-engine fuzz) big
@@ -133,7 +120,7 @@ class RandomWorkload {
   Rng rng_;
 };
 
-TEST(BatchProber, CountBatchMatchesOracleAcrossShardWidthsAndThreads) {
+TEST(BatchProber, CountBatchMatchesOracleAcrossShardWidths) {
   RandomWorkload w(1234);
   Combiner combiner(&w.prefs_);
   CombinationProber prober(&combiner, &w.enhancer_->probe_engine());
@@ -197,11 +184,11 @@ TEST(BatchProber, CountExtensionsAndPairsMatchOracle) {
   }
 }
 
-TEST(BatchProber, SkewedFrontierMatchesOracleUnderWorkStealing) {
-  // Steal-heavy shape: a frontier mixing many cheap single-member
-  // combinations with a block of maximum-size ones, so seeded tile ranges
-  // have wildly different costs and the pool must rebalance. Counts must
-  // stay byte-identical to the oracle.
+TEST(BatchProber, SkewedFrontierMatchesOracle) {
+  // A frontier mixing many cheap single-member combinations with a block of
+  // maximum-size ones, so the kernel alternates between the borrowed-pointer
+  // and the materializing paths within one shard. Counts must stay
+  // byte-identical to the oracle.
   RandomWorkload w(31337);
   Combiner combiner(&w.prefs_);
   CombinationProber prober(&combiner, &w.enhancer_->probe_engine());
@@ -222,8 +209,7 @@ TEST(BatchProber, SkewedFrontierMatchesOracleUnderWorkStealing) {
 
   std::vector<size_t> expected = probe_oracle::Counts(prober, frontier);
 
-  for (size_t shard_words : {size_t{1}, size_t{4}}) {
-    ProbeOptions options{shard_words, 8, TestPool()};
+  for (const ProbeOptions& options : OptionMatrix()) {
     SCOPED_TRACE(DescribeOptions(options));
     BatchProber batch(&prober, options);
     auto counts = batch.CountBatch(frontier);
@@ -232,28 +218,32 @@ TEST(BatchProber, SkewedFrontierMatchesOracleUnderWorkStealing) {
   }
 }
 
-TEST(BatchProber, MoreThreadsThanShardsStaysExact) {
-  // Whatever the thread/shard ratio, the slot plan never hands a worker an
-  // empty tile range and the per-slot partial counts still sum exactly.
+TEST(BatchProber, EveryShardWidthStaysExactWithReusedScratch) {
+  // Every shard width from one word to past the 5-word bitmap, so every
+  // shard boundary and every tail-shard length occurs. One batch prober per
+  // width answers frontiers of different sizes back to back: its compiled
+  // frontier and shard scratch are reused across calls, and no entry of a
+  // larger earlier frontier may leak into a smaller later one.
   RandomWorkload w(2024);
   Combiner combiner(&w.prefs_);
   CombinationProber prober(&combiner, &w.enhancer_->probe_engine());
 
-  std::vector<Combination> frontier;
-  for (int i = 0; i < 10; ++i) frontier.push_back(w.RandomCombination(combiner));
-  std::vector<size_t> expected = probe_oracle::Counts(prober, frontier);
+  std::vector<Combination> big;
+  for (int i = 0; i < 70; ++i) big.push_back(w.RandomCombination(combiner));
+  std::vector<Combination> small(big.begin() + 5, big.begin() + 8);
+  std::vector<size_t> expected_big = probe_oracle::Counts(prober, big);
+  std::vector<size_t> expected_small = probe_oracle::Counts(prober, small);
 
-  // The test universe is a few hundred bits (<= 6 words), so shard_words of
-  // {1 << 20, 3, 1} give ~1, 2-3, and 6+ shards respectively.
-  for (size_t shard_words : {size_t{1} << 20, size_t{3}, size_t{1}}) {
-    for (size_t num_threads : {size_t{2}, size_t{3}, size_t{5}, size_t{8},
-                               size_t{16}}) {
-      ProbeOptions options{shard_words, num_threads, TestPool()};
-      SCOPED_TRACE(DescribeOptions(options));
-      BatchProber batch(&prober, options);
-      auto counts = batch.CountBatch(frontier);
+  for (size_t shard_words = 1; shard_words <= 8; ++shard_words) {
+    SCOPED_TRACE(testing::Message() << "shard_words=" << shard_words);
+    BatchProber batch(&prober, ProbeOptions{shard_words});
+    for (int round = 0; round < 2; ++round) {
+      auto counts = batch.CountBatch(big);
       ASSERT_TRUE(counts.ok());
-      EXPECT_EQ(*counts, expected);
+      EXPECT_EQ(*counts, expected_big);
+      counts = batch.CountBatch(small);
+      ASSERT_TRUE(counts.ok());
+      EXPECT_EQ(*counts, expected_small);
     }
   }
 }
@@ -313,7 +303,7 @@ TEST(BatchProber, ProbeStatisticsContract) {
   std::vector<PreferenceAtom> prefs = MiniPreferences();
   Combiner combiner(&prefs);
   CombinationProber prober(&combiner, &engine);
-  BatchProber batch(&prober, ProbeOptions{4, 2});
+  BatchProber batch(&prober, ProbeOptions{4});
 
   // Bulk prefetch: 5 preferences = 5 distinct leaves, ONE executor pass but
   // one counted leaf query per leaf; no probes answered yet.
@@ -389,12 +379,11 @@ std::set<std::vector<size_t>> MemberSets(
 
 class AlgorithmsMatchOracle : public ::testing::Test {
  protected:
-  /// The algorithms run under the default options (inline, 512-word
-  /// shards), tiny shards on the shared pool, and one-word shards on the
-  /// explicit 8-slot pool: maximum stress on the tiling.
+  /// The algorithms run under the default options (512-word shards, wider
+  /// than the 5-word bitmap), one-word shards, and 3- and 7-word shards,
+  /// which do not divide the word count.
   static std::vector<ProbeOptions> Configurations() {
-    return {ProbeOptions{}, ProbeOptions{2, 4},
-            ProbeOptions{1, 8, TestPool()}};
+    return {ProbeOptions{}, ProbeOptions{1}, ProbeOptions{3}, ProbeOptions{7}};
   }
 
   void SetUp() override {
@@ -601,8 +590,8 @@ TEST(BiasRandomOracle, MatchesPinnedRunsAndOracleCounts) {
   Combiner combiner(&w.prefs_);
   CombinationProber prober(&combiner, &w.enhancer_->probe_engine());
   for (const BiasRandomPin& pin : BiasRandomPins()) {
-    for (const ProbeOptions& options :
-         {ProbeOptions{}, ProbeOptions{2, 4}, ProbeOptions{1, 8, TestPool()}}) {
+    for (const ProbeOptions& options : {ProbeOptions{}, ProbeOptions{1},
+                                        ProbeOptions{3}, ProbeOptions{7}}) {
       SCOPED_TRACE(testing::Message() << "seed=" << pin.seed << " "
                                       << DescribeOptions(options));
       auto run = BiasRandomSelection(w.prefs_, *w.enhancer_, pin.seed, options);

@@ -3,9 +3,9 @@
 // The contract under test (see the thread-model section of api/session.h):
 // any number of threads may call Enumerate() on ONE session and ONE cached
 // engine simultaneously and get results byte-identical to running the same
-// requests serially; first-touch races build exactly one engine and one
-// TaskPool; a Refresh() racing in-flight enumerations returns promptly and
-// DEFERS its journal suffix until the pinned readers drain (epoch-pin
+// requests serially; first-touch races build exactly one engine; a
+// Refresh() racing in-flight enumerations returns promptly and DEFERS its
+// journal suffix until the pinned readers drain (epoch-pin
 // discipline); per-request ProbeStats are exact (collector-based, not
 // engine-snapshot subtraction); and the AdmissionScheduler admits strictly
 // FIFO under its concurrency and probe-budget caps.
@@ -72,8 +72,8 @@ EnumerationRequest MakeRequest(const std::string& algorithm,
 }
 
 /// The request mix every differential test drives: combination enumerators
-/// and rankers, default and narrow shards, single- and multi-threaded
-/// probes.
+/// and rankers over default shards (wider than the mini universe) and
+/// narrow ones of 2, 3 and 7 words.
 std::vector<EnumerationRequest> RequestMix(
     const std::vector<core::PreferenceAtom>& prefs) {
   std::vector<EnumerationRequest> requests;
@@ -84,13 +84,15 @@ std::vector<EnumerationRequest> RequestMix(
     requests.push_back(MakeRequest("combine-two", prefs, narrow_shards));
   }
   {
-    core::ProbeOptions parallel_opts;
-    parallel_opts.num_threads = 3;
+    core::ProbeOptions odd_shards;
+    odd_shards.shard_words = 3;
     requests.push_back(MakeRequest("partially-combine-all", prefs,
-                                   parallel_opts));
+                                   odd_shards));
   }
   {
-    EnumerationRequest peps = MakeRequest("peps", prefs);
+    core::ProbeOptions wide_shards;
+    wide_shards.shard_words = 7;
+    EnumerationRequest peps = MakeRequest("peps", prefs, wide_shards);
     peps.k = SIZE_MAX;
     requests.push_back(std::move(peps));
   }
@@ -226,7 +228,7 @@ TEST(ConcurrentSession, AdmissionCapsPreserveResults) {
 
 // --- First-touch races ----------------------------------------------------
 
-TEST(ConcurrentSession, FirstTouchBuildsExactlyOneEngineAndPool) {
+TEST(ConcurrentSession, FirstTouchBuildsExactlyOneEngine) {
   reldb::Database db;
   BuildMiniDblp(&db);
   auto prefs = MiniPreferences();
@@ -245,28 +247,22 @@ TEST(ConcurrentSession, FirstTouchBuildsExactlyOneEngineAndPool) {
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      // Half the threads ask for parallel probes, so TaskPool creation
-      // races engine creation AND other pool requests.
+      // Half the threads ask for one-word shards, so requests of both
+      // shapes race engine creation.
       core::ProbeOptions options;
-      options.num_threads = (t % 2 == 0) ? size_t{1} : size_t{2};
+      if (t % 2 == 1) options.shard_words = 1;
       auto result =
           session.Enumerate(MakeRequest("exhaustive", prefs, options));
       if (!result.ok() || Digest(*result) != baseline) {
         mismatches.fetch_add(1);
       }
-      // Lazy accessors must be safe to race with first-touch requests.
+      // The lazy accessor must be safe to race with first-touch requests.
       (void)session.num_cached_engines();
-      (void)session.has_task_pool();
     });
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(mismatches.load(), 0u);
   EXPECT_EQ(session.num_cached_engines(), 1u);
-  EXPECT_TRUE(session.has_task_pool());
-  // The find-or-create race resolved to ONE pool: engine and session agree.
-  auto enhancer = session.GetEnhancer(MiniBaseQuery(), "dblp.pid");
-  ASSERT_TRUE(enhancer.ok());
-  EXPECT_EQ((*enhancer)->probe_engine().task_pool(), session.task_pool());
 }
 
 // --- Epoch pinning: mutate + Refresh while an enumeration is in flight ----

@@ -5,8 +5,7 @@
 //  * tracing a request changes NOTHING about its results or ProbeStats;
 //  * one mutate + refresh + enumerate round-trip produces spans from at
 //    least four layers (api, prober, delta, storage);
-//  * the background auto-checkpoint never blocks the request path;
-//  * TaskPool's scheduler counters actually see skewed work (steals/parks).
+//  * the background auto-checkpoint never blocks the request path.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,7 +19,6 @@
 #include <vector>
 
 #include "hypre/api/session.h"
-#include "hypre/parallel/task_pool.h"
 #include "hypre/storage/env.h"
 #include "hypre/storage/store.h"
 #include "hypre/telemetry/registry.h"
@@ -505,47 +503,6 @@ TEST_F(TelemetrySessionTest, BackgroundCheckpointDoesNotBlockRequests) {
   auto reopened = api::Session::OpenFromSnapshot(dir);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ((*reopened)->db()->journal().sequence(), final_seq);
-}
-
-// --- TaskPool scheduler counters --------------------------------------------
-
-TEST(TaskPoolStatsTest, SkewedRegionCountsStealsAndParks) {
-#if HYPRE_TELEMETRY_ENABLED
-  parallel::TaskPool pool(/*num_workers=*/3);
-  // Heavily skewed body: the first indices carry nearly all the work, so
-  // idle workers must steal from the loaded slot's deque.
-  std::atomic<uint64_t> sink{0};
-  auto skewed = [&sink](size_t begin, size_t end, size_t /*slot*/) {
-    uint64_t local = 0;
-    for (size_t i = begin; i < end; ++i) {
-      uint64_t spin = i < 64 ? 20000 : 1;
-      for (uint64_t j = 0; j < spin; ++j) local += j ^ i;
-    }
-    sink.fetch_add(local, std::memory_order_relaxed);
-  };
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  parallel::TaskPool::Stats stats;
-  do {
-    pool.ParallelFor(4096, /*grain=*/1, /*max_slots=*/0, skewed);
-    stats = pool.DumpStats();
-  } while ((stats.steals == 0 || stats.parks == 0) &&
-           std::chrono::steady_clock::now() < deadline);
-  EXPECT_GT(stats.executes, 0u);
-  EXPECT_GT(stats.splits, 0u);
-  EXPECT_GT(stats.steals, 0u) << stats.ToString();
-  EXPECT_GT(stats.parks, 0u) << stats.ToString();
-
-  // PublishStats mirrors the fold into the global registry's gauges.
-  pool.PublishStats();
-  MetricsRegistry& global = MetricsRegistry::Global();
-  EXPECT_EQ(global.GetGauge("hypre_parallel_steals", "parallel", "")->Value(),
-            int64_t(stats.steals));
-  EXPECT_EQ(
-      global.GetGauge("hypre_parallel_executes", "parallel", "")->Value(),
-      int64_t(stats.executes));
-#else
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
 }
 
 }  // namespace
