@@ -19,7 +19,7 @@ namespace {
 
 struct Setup {
   std::unique_ptr<Workload> w;
-  std::unique_ptr<core::QueryEnhancer> enhancer;
+  std::unique_ptr<core::ProbeEngine> engine;
   std::vector<core::PreferenceAtom> quant_atoms_a;
   std::vector<core::PreferenceAtom> full_atoms_a;
   std::vector<core::PreferenceAtom> full_atoms_b;
@@ -29,7 +29,7 @@ Setup* GetSetup() {
   static Setup* setup = [] {
     auto* s = new Setup();
     s->w = Workload::Create();
-    s->enhancer = std::make_unique<core::QueryEnhancer>(
+    s->engine = std::make_unique<core::ProbeEngine>(
         &s->w->db, s->w->BaseQuery(), "dblp.pid");
     core::HypreGraph quant_a = s->w->BuildGraph(s->w->user_a, false);
     core::HypreGraph full_a = s->w->BuildGraph(s->w->user_a, true);
@@ -49,7 +49,7 @@ void RunTopK(benchmark::State& state,
   size_t k = static_cast<size_t>(state.range(0));
   // The pair table is a profile-maintenance artifact (recomputed on graph
   // updates, §5.5), so it is excluded from the per-query timing.
-  core::Peps warm(atoms, s->enhancer.get());
+  core::Peps warm(atoms, s->engine.get());
   if (!warm.PrecomputePairs().ok()) state.SkipWithError("precompute failed");
   for (auto _ : state) {
     auto top = warm.TopK(k, mode);

@@ -16,7 +16,7 @@
 #include "common/status.h"
 #include "hypre/hypre_graph.h"
 #include "hypre/preference.h"
-#include "hypre/query_enhancement.h"
+#include "hypre/probe_engine.h"
 #include "reldb/database.h"
 #include "workload/dblp_generator.h"
 #include "workload/preference_extraction.h"

@@ -85,8 +85,8 @@ int main() {
 
   reldb::Query base;
   base.from = "car";
-  core::QueryEnhancer* enhancer = Unwrap(session.GetEnhancer(base, "car.id"));
-  auto ranked = Unwrap(core::ScoreTuplesByPreferences(*enhancer, atoms));
+  core::ProbeEngine* engine = Unwrap(session.GetEngine(base, "car.id"));
+  auto ranked = Unwrap(core::ScoreTuplesByPreferences(*engine, atoms));
 
   std::printf("\nHYPRE order (intensity-combined, expected t1 > t2 > t3):\n");
   for (const auto& tuple : ranked) {

@@ -28,13 +28,13 @@ void PrintRanking(api::Session* session,
   // the first ranking pays the leaf probes, later ones are pure algebra.
   reldb::Query base;
   base.from = "movie";
-  core::QueryEnhancer* enhancer =
-      Unwrap(session->GetEnhancer(base, "movie.movie_id"));
+  core::ProbeEngine* engine =
+      Unwrap(session->GetEngine(base, "movie.movie_id"));
   std::vector<core::PreferenceAtom> atoms;
   for (const auto& p : prefs) {
     atoms.push_back(Unwrap(core::MakeAtom(p.predicate, p.intensity)));
   }
-  auto ranked = Unwrap(core::ScoreTuplesByPreferences(*enhancer, atoms));
+  auto ranked = Unwrap(core::ScoreTuplesByPreferences(*engine, atoms));
   const reldb::Table* movies = session->db()->GetTable("movie");
   for (const auto& tuple : ranked) {
     for (const auto& row : movies->rows()) {

@@ -55,14 +55,14 @@ int main() {
   // The session hands out the cached probe engine for this query spec.
   reldb::Query base;
   base.from = "movie";
-  core::QueryEnhancer* enhancer =
-      Unwrap(session.GetEnhancer(base, "movie.movie_id"));
+  core::ProbeEngine* engine =
+      Unwrap(session.GetEngine(base, "movie.movie_id"));
   std::vector<core::PreferenceAtom> atoms;
   for (const auto& entry :
        graph.ListPreferences(uid, /*include_negative=*/true)) {
     atoms.push_back(Unwrap(core::MakeAtom(entry.predicate, entry.intensity)));
   }
-  auto ranked = Unwrap(core::ScoreTuplesByPreferences(*enhancer, atoms));
+  auto ranked = Unwrap(core::ScoreTuplesByPreferences(*engine, atoms));
 
   std::printf("\nPersonalized movie ranking:\n");
   const reldb::Table* movies = db.GetTable("movie");

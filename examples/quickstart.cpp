@@ -46,8 +46,7 @@ int main() {
   //    session caches the probe engine under (base query, key column).
   reldb::Query base;
   base.from = "car";
-  core::QueryEnhancer* enhancer =
-      Unwrap(session.GetEnhancer(base, "car.id"));
+  core::ProbeEngine* engine = Unwrap(session.GetEngine(base, "car.id"));
 
   std::vector<core::PreferenceAtom> atoms;
   for (const auto& entry : graph.ListPreferences(uid)) {
@@ -60,9 +59,9 @@ int main() {
   for (size_t i = 0; i < all.size(); ++i) all[i] = i;
   core::Combination mixed = combiner.MixedClause(all);
   std::printf("\nEnhanced query:\n  %s\n",
-              enhancer->Enhance(combiner.BuildExpr(mixed)).ToSql().c_str());
+              engine->Enhance(combiner.BuildExpr(mixed)).ToSql().c_str());
 
-  auto ranked = Unwrap(core::ScoreTuplesByPreferences(*enhancer, atoms));
+  auto ranked = Unwrap(core::ScoreTuplesByPreferences(*engine, atoms));
 
   std::printf("\nRanked results (Table 9 expects 0.92 / 0.90 / 0.60):\n");
   for (const auto& tuple : ranked) {

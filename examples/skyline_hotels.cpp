@@ -18,6 +18,7 @@
 
 #include "example_util.h"
 #include "hypre/api/session.h"
+#include "hypre/batch_prober.h"
 #include "hypre/combination.h"
 #include "hypre/delta_engine.h"
 #include "hypre/preference.h"
@@ -122,7 +123,7 @@ int main() {
   reldb::Query base;
   base.from = "hotel";
   const core::ProbeEngine& engine =
-      Unwrap(session.GetEnhancer(base, "hotel.name"))->probe_engine();
+      *Unwrap(session.GetEngine(base, "hotel.name"));
 
   std::vector<core::PreferenceAtom> atoms;
   auto add = [&](const char* pred, double intensity) {

@@ -52,11 +52,10 @@ void Record(const Combiner& combiner, const EnumerationControl& control,
 
 Result<BiasRandomResult> BiasRandomSelection(
     const std::vector<PreferenceAtom>& preferences,
-    const QueryEnhancer& enhancer, uint64_t seed,
-    const ProbeOptions& options, const EnumerationControl& control) {
+    const ProbeEngine& engine, uint64_t seed,
+    const EnumerationControl& control) {
   Combiner combiner(&preferences);
-  CombinationProber prober(&combiner, &enhancer.probe_engine());
-  BatchProber batch(&prober, options);
+  CombinationProber prober(&combiner, &engine);
   if (!preferences.empty()) HYPRE_RETURN_NOT_OK(prober.PrefetchAll());
   BiasRandomResult result;
   Rng rng(seed);
@@ -93,7 +92,7 @@ Result<BiasRandomResult> BiasRandomSelection(
                            prober.PreferenceBits(first));
     if (!pool.empty()) {
       HYPRE_ASSIGN_OR_RETURN(std::vector<size_t> counts,
-                             batch.CountExtensions(*first_bits, pool));
+                             prober.CountExtensions(*first_bits, pool));
       for (size_t p = 0; p < pool.size(); ++p) ext_counts[pool[p]] = counts[p];
     }
     // Find an applicable two-preference seed (Step 1-2 of §5.4).
@@ -129,7 +128,7 @@ Result<BiasRandomResult> BiasRandomSelection(
         HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* next_bits,
                                prober.PreferenceBits(next));
         size_t extended_count = KeyBitmap::AndCount(chain_bits, *next_bits);
-        enhancer.probe_engine().NoteProbesAnswered(1);
+        engine.NoteProbesAnswered(1);
         if (!consult(extended_count)) {
           Record(combiner, control, chain, chain_count, &result.records);
           break;

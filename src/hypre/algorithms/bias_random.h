@@ -12,9 +12,8 @@
 
 #include "common/status.h"
 #include "hypre/algorithms/common.h"
-#include "hypre/batch_prober.h"
 #include "hypre/preference.h"
-#include "hypre/query_enhancement.h"
+#include "hypre/probe_engine.h"
 
 namespace hypre {
 namespace core {
@@ -47,8 +46,7 @@ struct BiasRandomResult {
 /// the "bias-random" row of api::kAlgorithms calls.
 Result<BiasRandomResult> BiasRandomSelection(
     const std::vector<PreferenceAtom>& preferences,
-    const QueryEnhancer& enhancer, uint64_t seed,
-    const ProbeOptions& options = ProbeOptions{},
+    const ProbeEngine& engine, uint64_t seed,
     const EnumerationControl& control = EnumerationControl{});
 
 }  // namespace core

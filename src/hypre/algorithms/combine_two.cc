@@ -5,11 +5,10 @@ namespace core {
 
 Result<std::vector<CombinationRecord>> CombineTwo(
     const std::vector<PreferenceAtom>& preferences,
-    const QueryEnhancer& enhancer, CombineSemantics semantics,
-    const ProbeOptions& options, const EnumerationControl& control) {
+    const ProbeEngine& engine, CombineSemantics semantics,
+    const EnumerationControl& control) {
   Combiner combiner(&preferences);
-  CombinationProber prober(&combiner, &enhancer.probe_engine());
-  BatchProber batch(&prober, options);
+  CombinationProber prober(&combiner, &engine);
   std::vector<CombinationRecord> records;
   if (preferences.size() < 2) return records;
 
@@ -31,7 +30,7 @@ Result<std::vector<CombinationRecord>> CombineTwo(
   }
 
   HYPRE_RETURN_NOT_OK(prober.PrefetchAll());
-  HYPRE_RETURN_NOT_OK(ProbeGeneration(combiner, batch, control,
+  HYPRE_RETURN_NOT_OK(ProbeGeneration(combiner, prober, control,
                                       /*applicable_only=*/false, &frontier,
                                       &records)
                           .status());

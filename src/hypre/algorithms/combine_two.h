@@ -14,9 +14,8 @@
 
 #include "common/status.h"
 #include "hypre/algorithms/common.h"
-#include "hypre/batch_prober.h"
 #include "hypre/preference.h"
-#include "hypre/query_enhancement.h"
+#include "hypre/probe_engine.h"
 
 namespace hypre {
 namespace core {
@@ -35,8 +34,7 @@ enum class CombineSemantics { kAnd, kAndOr };
 /// row of api::kAlgorithms calls.
 Result<std::vector<CombinationRecord>> CombineTwo(
     const std::vector<PreferenceAtom>& preferences,
-    const QueryEnhancer& enhancer, CombineSemantics semantics,
-    const ProbeOptions& options = ProbeOptions{},
+    const ProbeEngine& engine, CombineSemantics semantics,
     const EnumerationControl& control = EnumerationControl{});
 
 }  // namespace core

@@ -4,7 +4,7 @@ namespace hypre {
 namespace core {
 
 Result<bool> ProbeGeneration(const Combiner& combiner,
-                             const BatchProber& batch,
+                             const CombinationProber& prober,
                              const EnumerationControl& control,
                              bool applicable_only,
                              std::vector<Combination>* generation,
@@ -15,7 +15,7 @@ Result<bool> ProbeGeneration(const Combiner& combiner,
   generation->resize(admitted);
   if (generation->empty()) return budget_dry;
   HYPRE_ASSIGN_OR_RETURN(std::vector<size_t> counts,
-                         batch.CountBatch(*generation));
+                         prober.CountBatch(*generation));
   for (size_t g = 0; g < generation->size(); ++g) {
     if (applicable_only && counts[g] == 0) continue;
     Combination& combination = (*generation)[g];

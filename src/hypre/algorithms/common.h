@@ -18,9 +18,10 @@
 // stream is a prefix of the unbudgeted run's stream, with the truncation
 // flag set when the budget cut it short.
 //
-// Every algorithm probes through BatchProber (batch_prober.h); there is no
-// per-combination scalar path. The tests check each emitted record's
-// num_tuples against an independent oracle (tests/probe_oracle.h).
+// Every algorithm counts through CombinationProber's batch methods
+// (batch_prober.h); there is no per-combination scalar path. The tests
+// check each emitted record's num_tuples against an independent oracle
+// (tests/probe_oracle.h).
 #pragma once
 
 #include <algorithm>
@@ -124,7 +125,7 @@ struct EnumerationControl {
 /// into `*ran` when it is non-null; `*generation` is left empty. Returns true
 /// when the budget ran dry before the whole generation was admitted.
 Result<bool> ProbeGeneration(const Combiner& combiner,
-                             const BatchProber& batch,
+                             const CombinationProber& prober,
                              const EnumerationControl& control,
                              bool applicable_only,
                              std::vector<Combination>* generation,

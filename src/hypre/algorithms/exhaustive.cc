@@ -9,8 +9,8 @@ namespace core {
 
 Result<std::vector<CombinationRecord>> ExhaustiveAndCombinations(
     const std::vector<PreferenceAtom>& preferences,
-    const QueryEnhancer& enhancer, size_t max_n,
-    const ProbeOptions& options, const EnumerationControl& control) {
+    const ProbeEngine& engine, size_t max_n,
+    const EnumerationControl& control) {
   size_t n = preferences.size();
   // Subsets are enumerated as bits of a uint64_t mask, so 64 or more
   // preferences cannot be represented (and 2^64 probes never finish).
@@ -27,8 +27,7 @@ Result<std::vector<CombinationRecord>> ExhaustiveAndCombinations(
         n, n, max_n));
   }
   Combiner combiner(&preferences);
-  CombinationProber prober(&combiner, &enhancer.probe_engine());
-  BatchProber batch(&prober, options);
+  CombinationProber prober(&combiner, &engine);
   if (n > 0) HYPRE_RETURN_NOT_OK(prober.PrefetchAll());
   std::vector<CombinationRecord> records;
 
@@ -42,7 +41,7 @@ Result<std::vector<CombinationRecord>> ExhaustiveAndCombinations(
   bool budget_dry = false;
   auto flush = [&]() -> Status {
     HYPRE_ASSIGN_OR_RETURN(budget_dry,
-                           ProbeGeneration(combiner, batch, control,
+                           ProbeGeneration(combiner, prober, control,
                                            /*applicable_only=*/true,
                                            &frontier, &records));
     return Status::OK();

@@ -10,9 +10,8 @@
 
 #include "common/status.h"
 #include "hypre/algorithms/common.h"
-#include "hypre/batch_prober.h"
 #include "hypre/preference.h"
-#include "hypre/query_enhancement.h"
+#include "hypre/probe_engine.h"
 
 namespace hypre {
 namespace core {
@@ -30,8 +29,7 @@ namespace core {
 /// algorithm core the "exhaustive" row of api::kAlgorithms calls.
 Result<std::vector<CombinationRecord>> ExhaustiveAndCombinations(
     const std::vector<PreferenceAtom>& preferences,
-    const QueryEnhancer& enhancer, size_t max_n = 20,
-    const ProbeOptions& options = ProbeOptions{},
+    const ProbeEngine& engine, size_t max_n = 20,
     const EnumerationControl& control = EnumerationControl{});
 
 }  // namespace core

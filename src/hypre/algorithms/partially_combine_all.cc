@@ -7,11 +7,9 @@ namespace core {
 
 Result<std::vector<CombinationRecord>> PartiallyCombineAll(
     const std::vector<PreferenceAtom>& preferences,
-    const QueryEnhancer& enhancer, const ProbeOptions& options,
-    const EnumerationControl& control) {
+    const ProbeEngine& engine, const EnumerationControl& control) {
   Combiner combiner(&preferences);
-  CombinationProber prober(&combiner, &enhancer.probe_engine());
-  BatchProber batch(&prober, options);
+  CombinationProber prober(&combiner, &engine);
   if (!preferences.empty()) HYPRE_RETURN_NOT_OK(prober.PrefetchAll());
   std::vector<CombinationRecord> records;
   std::vector<Combination> queries_ran;
@@ -20,7 +18,7 @@ Result<std::vector<CombinationRecord>> PartiallyCombineAll(
 
   auto run = [&](std::vector<Combination> generation) -> Status {
     HYPRE_ASSIGN_OR_RETURN(budget_dry,
-                           ProbeGeneration(combiner, batch, control,
+                           ProbeGeneration(combiner, prober, control,
                                            /*applicable_only=*/false,
                                            &generation, &records,
                                            &queries_ran));

@@ -20,9 +20,8 @@
 
 #include "common/status.h"
 #include "hypre/algorithms/common.h"
-#include "hypre/batch_prober.h"
 #include "hypre/preference.h"
-#include "hypre/query_enhancement.h"
+#include "hypre/probe_engine.h"
 
 namespace hypre {
 namespace core {
@@ -41,8 +40,7 @@ namespace core {
 /// api::kAlgorithms calls.
 Result<std::vector<CombinationRecord>> PartiallyCombineAll(
     const std::vector<PreferenceAtom>& preferences,
-    const QueryEnhancer& enhancer,
-    const ProbeOptions& options = ProbeOptions{},
+    const ProbeEngine& engine,
     const EnumerationControl& control = EnumerationControl{});
 
 }  // namespace core

@@ -7,12 +7,10 @@ namespace hypre {
 namespace core {
 
 Peps::Peps(const std::vector<PreferenceAtom>* preferences,
-           const QueryEnhancer* enhancer, ProbeOptions options)
+           const ProbeEngine* engine)
     : preferences_(preferences),
-      enhancer_(enhancer),
       combiner_(preferences),
-      prober_(&combiner_, &enhancer->probe_engine()),
-      batch_(&prober_, options) {}
+      prober_(&combiner_, engine) {}
 
 bool Peps::PairApplicable(size_t a, size_t b) const {
   size_t n = preferences_->size();
@@ -51,7 +49,7 @@ Status Peps::PrecomputePairs(const EnumerationControl& control) {
   pair_list.resize(control.Admit(pair_list.size()));
   if (!pair_list.empty()) {
     HYPRE_ASSIGN_OR_RETURN(std::vector<size_t> counts,
-                           batch_.CountPairs(pair_list));
+                           prober_.CountPairs(pair_list));
     for (size_t p = 0; p < pair_list.size(); ++p) {
       record_pair(pair_list[p].first, pair_list[p].second, counts[p]);
     }
@@ -150,7 +148,7 @@ Result<std::vector<CombinationRecord>> Peps::GenerateOrder(
     HYPRE_RETURN_NOT_OK(prober_.BitsInto(frame.combination, &frame_bits));
     num_expansion_probes_ += candidates.size();
     HYPRE_ASSIGN_OR_RETURN(std::vector<size_t> counts,
-                           batch_.CountExtensions(frame_bits, candidates));
+                           prober_.CountExtensions(frame_bits, candidates));
     for (size_t c = 0; c < candidates.size(); ++c) {
       if (counts[c] == 0) continue;
       size_t k = candidates[c];
@@ -200,8 +198,7 @@ Result<std::vector<RankedTuple>> Peps::TopK(
     if (k > 0 && result.size() >= k) break;
     HYPRE_RETURN_NOT_OK(prober_.BitsInto(record.combination, &bits));
     // KeysOf is deterministic: keys come out in Value total order.
-    std::vector<reldb::Value> keys =
-        enhancer_->probe_engine().KeysOf(bits);
+    std::vector<reldb::Value> keys = prober_.engine().KeysOf(bits);
     for (const auto& key : keys) {
       if (k > 0 && result.size() >= k) break;
       if (!ranked.insert(key).second) continue;

@@ -27,7 +27,7 @@
 #include "hypre/algorithms/common.h"
 #include "hypre/batch_prober.h"
 #include "hypre/preference.h"
-#include "hypre/query_enhancement.h"
+#include "hypre/probe_engine.h"
 #include "hypre/ranking.h"
 
 namespace hypre {
@@ -46,14 +46,13 @@ struct PairEntry {
 class Peps {
  public:
   /// `preferences` must be sorted descending by intensity and must outlive
-  /// the engine; `enhancer` likewise. All probes run through the enhancer's
-  /// bitmap-backed probe engine: the preference leaf bitmaps are
+  /// this object; `engine` likewise. All probes run through one
+  /// CombinationProber over the engine: the preference leaf bitmaps are
   /// bulk-prefetched in one executor pass, the pair table is one batched
   /// upper-triangle pass, and DFS expansion batches all candidate
   /// extensions of a popped frame into one blocked shard pass.
-  explicit Peps(const std::vector<PreferenceAtom>* preferences,
-                const QueryEnhancer* enhancer,
-                ProbeOptions options = ProbeOptions{});
+  Peps(const std::vector<PreferenceAtom>* preferences,
+       const ProbeEngine* engine);
 
   // prober_ points at combiner_, so default copy/move would leave the new
   // object probing through the old one's (possibly destroyed) combiner.
@@ -96,10 +95,8 @@ class Peps {
 
  private:
   const std::vector<PreferenceAtom>* preferences_;
-  const QueryEnhancer* enhancer_;
   Combiner combiner_;
   CombinationProber prober_;
-  BatchProber batch_;
   bool pairs_ready_ = false;
   std::vector<PairEntry> pairs_;
   // pair applicability matrix, row-major over preference indices

@@ -166,6 +166,15 @@ Result<std::vector<GradedList>> BuildGradedLists(
 Result<std::vector<RankedTuple>> ThresholdAlgorithm(
     const std::vector<PreferenceAtom>& preferences, const ProbeEngine& engine,
     size_t k, const EnumerationControl& control) {
+  // Bulk leaf prefetch over every atom (one executor pass), like the other
+  // five algorithms; leaf loads are shared warm-up, never charged to the
+  // budget.
+  if (!preferences.empty()) {
+    std::vector<reldb::ExprPtr> exprs;
+    exprs.reserve(preferences.size());
+    for (const PreferenceAtom& atom : preferences) exprs.push_back(atom.expr);
+    HYPRE_RETURN_NOT_OK(engine.PrefetchLeaves(exprs));
+  }
   // One probe per atom builds the graded lists (each atom's key bitmap is
   // materialized once); the budget admits a prefix of the atoms.
   size_t admitted = control.Admit(preferences.size());

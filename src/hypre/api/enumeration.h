@@ -2,7 +2,7 @@
 // combination algorithms.
 //
 // The dissertation's algorithms (§5.3-§5.5) are six free functions (and
-// the Peps class), each over a QueryEnhancer the caller assembles. This
+// the Peps class), each over a ProbeEngine the caller assembles. This
 // layer turns algorithm choice into a REQUEST PARAMETER:
 //
 //   EnumerationRequest{algorithm="peps", base_query, key_column,
@@ -14,7 +14,8 @@
 //                         "partially-combine-all", "peps", "ta") ── cached
 //                         ProbeEngine per (base query, key column) ── epoch
 //                         pinned via Refresh() ── row.run: one call into
-//                         the algorithm core
+//                         the algorithm core, which builds its one
+//                         CombinationProber (TA reads the engine directly)
 //         │
 //         ▼
 //   EnumerationResult{records / top_k, ProbeStats delta, epoch, truncated}
@@ -37,10 +38,8 @@
 #include "hypre/algorithms/combine_two.h"
 #include "hypre/algorithms/common.h"
 #include "hypre/algorithms/peps.h"
-#include "hypre/batch_prober.h"
 #include "hypre/preference.h"
 #include "hypre/probe_engine.h"
-#include "hypre/query_enhancement.h"
 #include "hypre/ranking.h"
 #include "hypre/telemetry/trace.h"
 #include "reldb/executor.h"
@@ -49,8 +48,8 @@ namespace hypre {
 namespace api {
 
 /// \brief One enumeration request: everything that was a compile-time call
-/// site before — algorithm, query, preferences, per-algorithm knobs, probe
-/// options, budget, sinks — as data.
+/// site before — algorithm, query, preferences, per-algorithm knobs,
+/// budget, sinks — as data.
 struct EnumerationRequest {
   /// Algorithm name, a row of kAlgorithms: "bias-random", "combine-two",
   /// "exhaustive", "partially-combine-all", "peps", or "ta".
@@ -79,8 +78,6 @@ struct EnumerationRequest {
   /// 64 or more preferences are refused whatever this says.
   size_t max_exhaustive_n = 20;
 
-  /// Batch-probe knobs, threaded through every algorithm.
-  core::ProbeOptions probe_options;
   /// Probe budget: maximum combination probes (pair entries, frontier
   /// members, expansion candidates, bias-random checks, TA sorted-access
   /// rounds) this request may spend. 0 = unlimited. A budgeted run stops
@@ -113,7 +110,7 @@ struct EnumerationRequest {
   uint64_t admission_timeout_ms = 0;
 
   /// Collect a per-request trace: EnumerationResult::trace gets one span
-  /// per timed phase (enhancer cache, refresh, prefetch, batch passes, WAL
+  /// per timed phase (engine cache, refresh, prefetch, batch passes, WAL
   /// and checkpoint work) with parent/child nesting. Off by default — the
   /// probe hot path stays untouched; in a -DHYPRE_TELEMETRY=OFF build the
   /// flag is accepted but the trace comes back empty.
@@ -153,12 +150,12 @@ struct EnumerationResult {
 struct Algorithm {
   std::string_view name;
   std::string_view description;
-  /// Runs the algorithm core over the session's cached `enhancer` and the
-  /// intensity-sorted `preferences`, with the request's knobs (probe
-  /// options included) and the budget/sink `control`.
+  /// Runs the algorithm core over the session's cached `engine` and the
+  /// intensity-sorted `preferences`, with the request's knobs and the
+  /// budget/sink `control`.
   /// Fills result->records / result->top_k and the bias-random tallies; the
   /// session owns stats, epoch and truncated.
-  Status (*run)(const core::QueryEnhancer& enhancer,
+  Status (*run)(const core::ProbeEngine& engine,
                 const std::vector<core::PreferenceAtom>& preferences,
                 const EnumerationRequest& request,
                 const core::EnumerationControl& control,

@@ -2,23 +2,23 @@
 //
 // A Session owns (or borrows) one Database and serves any number of
 // EnumerationRequests against it. Per (base query, key column) it keeps ONE
-// QueryEnhancer — i.e. one ProbeEngine with its interned universe, leaf
-// cache, and delta subsystem — so consecutive requests share universe
-// interning and leaf prefetch instead of rebuilding them per call, and
-// every consumer goes through one versioned read path:
+// ProbeEngine, with its interned universe, leaf cache, and delta
+// subsystem, so consecutive requests share universe interning and leaf
+// prefetch instead of rebuilding them per call, and every consumer goes
+// through one versioned read path:
 //
 //   request ──▶ FindAlgorithm: the kAlgorithms row (by name)
-//           ──▶ enhancer cache [(base SQL, key column) → QueryEnhancer]
+//           ──▶ engine cache [(base SQL, key column) → ProbeEngine]
 //           ──▶ Refresh(): journal drained, epoch pinned for this request
-//           ──▶ bulk leaf prefetch over the request's preference leaves
 //           ──▶ row.run: one call into the algorithm core (budget + sinks
-//               wired through)
+//               wired through), which bulk-prefetches its preference
+//               leaves and builds its one CombinationProber
 //           ──▶ result {records/top_k, ProbeStats delta, epoch, truncated}
 //
 // Thread model: single writer, many readers — concurrent Enumerate()
 // calls from any number of threads are safe and see consistent snapshots.
 //
-//  * READ side. Enumerate()/GetEnhancer()/Refresh() may be called from any
+//  * READ side. Enumerate()/GetEngine()/Refresh() may be called from any
 //    thread at any time. Each request takes a refcounted EPOCH PIN on its
 //    engine (ProbeEngine::PinEpoch): while any pin is held the engine's
 //    interned state is immutable — a concurrent Refresh or auto-checkpoint
@@ -40,7 +40,7 @@
 // ARCHITECTURE.md):
 //   storage_mu_   — serializes the storage entry points and the
 //                   auto-checkpoint policy against each other
-//   enhancers_mu_ — shared_mutex over the enhancer cache: shared for
+//   engines_mu_   — shared_mutex over the engine cache: shared for
 //                   lookup/iteration, unique only for first-touch insert
 //   per-engine    — ProbeEngine's refresh_mu_ then cache_mu_
 //
@@ -66,7 +66,7 @@
 #include "common/status.h"
 #include "hypre/api/enumeration.h"
 #include "hypre/api/scheduler.h"
-#include "hypre/query_enhancement.h"
+#include "hypre/probe_engine.h"
 #include "hypre/storage/store.h"
 #include "reldb/database.h"
 
@@ -114,17 +114,17 @@ class Session {
       const std::string& dir, const storage::StorageOptions& options = {});
 
   /// \brief Runs one enumeration request end to end: table lookup,
-  /// enhancer-cache lookup, epoch pinning, leaf prefetch, the algorithm
-  /// itself, and the per-request statistics delta. With no probe budget the
-  /// records/tuples are byte-identical to calling the algorithm core
-  /// directly on an equivalent enhancer.
+  /// engine-cache lookup, epoch pinning, the algorithm itself, and the
+  /// per-request statistics delta. With no probe budget the records/tuples
+  /// are byte-identical to calling the algorithm core directly on an
+  /// equivalent engine.
   Result<EnumerationResult> Enumerate(const EnumerationRequest& request);
 
-  /// \brief The cached enhancer for (base_query, key_column), created on
+  /// \brief The cached engine for (base_query, key_column), created on
   /// first use. Exposed for consumers outside the six algorithms (ranking,
   /// skyline, metrics) so they share the same engines the requests warm.
-  Result<core::QueryEnhancer*> GetEnhancer(const reldb::Query& base_query,
-                                           const std::string& key_column);
+  Result<core::ProbeEngine*> GetEngine(const reldb::Query& base_query,
+                                       const std::string& key_column);
 
   /// \brief Catches every cached engine up with the database's mutation
   /// journal. Returns the highest resulting epoch (0 when no engine is
@@ -148,8 +148,8 @@ class Session {
   reldb::Database* mutable_db() { return owned_db_.get(); }
   /// \brief Number of distinct (base query, key column) engines cached.
   size_t num_cached_engines() const {
-    std::shared_lock<std::shared_mutex> lock(enhancers_mu_);
-    return enhancers_.size();
+    std::shared_lock<std::shared_mutex> lock(engines_mu_);
+    return engines_.size();
   }
 
   /// \brief servebench bridge (see parallel::TaskPool above): no pool.
@@ -243,19 +243,19 @@ class Session {
   };
   std::unique_ptr<reldb::Database> owned_db_;
   const reldb::Database* db_;
-  // (base query SQL + key column) -> the one enhancer/engine all requests
-  // over that query share. enhancers_mu_ guards the MAP (shared for
-  // lookup, unique for first-touch insert); entries are unique_ptrs, so
-  // QueryEnhancer pointers handed out under the shared lock stay valid
-  // unlocked for the session's lifetime (entries are never erased).
-  mutable std::shared_mutex enhancers_mu_;
-  std::unordered_map<std::string, std::unique_ptr<core::QueryEnhancer>>
-      enhancers_;
+  // (base query SQL + key column) -> the one engine all requests over that
+  // query share. engines_mu_ guards the MAP (shared for lookup, unique for
+  // first-touch insert); entries are unique_ptrs, so ProbeEngine pointers
+  // handed out under the shared lock stay valid unlocked for the session's
+  // lifetime (entries are never erased).
+  mutable std::shared_mutex engines_mu_;
+  std::unordered_map<std::string, std::unique_ptr<core::ProbeEngine>>
+      engines_;
   // Request admission (FIFO, concurrency + probe-budget caps).
   AdmissionScheduler scheduler_;
   // Serializes the storage entry points (AttachStorage, SaveSnapshot,
   // CommitJournal) and the per-request auto-checkpoint policy against each
-  // other. Ordered BEFORE enhancers_mu_ and the engines' refresh mutexes.
+  // other. Ordered BEFORE engines_mu_ and the engines' refresh mutexes.
   std::mutex storage_mu_;
   // Durable storage backend; null until AttachStorage/OpenFromSnapshot.
   // The pointer is written once under storage_mu_ before concurrent use.

@@ -11,11 +11,6 @@ namespace core {
 
 namespace {
 
-/// Words per shard (a zero option means one).
-size_t ShardWords(const ProbeOptions& options) {
-  return std::max<size_t>(1, options.shard_words);
-}
-
 #if HYPRE_TELEMETRY_ENABLED
 /// Batch-shape histograms: how many probes a batch call answers and how
 /// many shard passes it takes. Once per batch, never per word — the probe
@@ -36,7 +31,80 @@ void RecordBatchShape(size_t batch, size_t shards) {
 
 }  // namespace
 
-Status BatchProber::Compile(const std::vector<Combination>& frontier) const {
+Status CombinationProber::PrefetchAll() const {
+  const auto& prefs = combiner_->preferences();
+  std::vector<reldb::ExprPtr> exprs;
+  exprs.reserve(prefs.size());
+  for (const auto& pref : prefs) exprs.push_back(pref.expr);
+  HYPRE_RETURN_NOT_OK(engine_->PrefetchLeaves(exprs));
+  // Materializing the per-preference bitmaps is now pure bitmap algebra.
+  for (size_t i = 0; i < prefs.size(); ++i) {
+    HYPRE_RETURN_NOT_OK(PreferenceBits(i).status());
+  }
+  return Status::OK();
+}
+
+Result<const KeyBitmap*> CombinationProber::PreferenceBits(
+    size_t index) const {
+  if (cached_epoch_ != engine_->epoch()) {
+    // The engine refreshed under us: every cached bitmap reflects a dead
+    // epoch. Drop them all; re-materialization below is pure bitmap algebra
+    // over the patched leaf cache.
+    member_bits_.clear();
+    cached_epoch_ = engine_->epoch();
+  }
+  if (member_bits_.size() < combiner_->preferences().size()) {
+    member_bits_.resize(combiner_->preferences().size());
+  }
+  if (member_bits_[index] == nullptr) {
+    HYPRE_ASSIGN_OR_RETURN(
+        KeyBitmap bits,
+        engine_->EvalBitmap(combiner_->preferences()[index].expr));
+    member_bits_[index] = std::make_unique<KeyBitmap>(std::move(bits));
+  }
+  return member_bits_[index].get();
+}
+
+Status CombinationProber::BitsInto(const Combination& combination,
+                                   KeyBitmap* out) const {
+  bool first = true;
+  for (const auto& group : combination.groups) {
+    const KeyBitmap* group_bits;
+    if (group.members.size() == 1) {
+      HYPRE_ASSIGN_OR_RETURN(group_bits, PreferenceBits(group.members[0]));
+    } else {
+      HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* bits0,
+                             PreferenceBits(group.members[0]));
+      group_scratch_ = *bits0;
+      for (size_t pos = 1; pos < group.members.size(); ++pos) {
+        HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* bits,
+                               PreferenceBits(group.members[pos]));
+        group_scratch_.OrWith(*bits);
+      }
+      group_bits = &group_scratch_;
+    }
+    if (first) {
+      *out = *group_bits;
+      first = false;
+    } else {
+      out->AndWith(*group_bits);
+      if (out->None()) break;  // short-circuit: empty intersection
+    }
+  }
+  if (first) {
+    *out = KeyBitmap();
+    return Status::OK();
+  }
+  // Tombstoned keys are masked out of every probe result (delta contract).
+  if (engine_->has_tombstones()) {
+    HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* live, engine_->UniverseBitmap());
+    out->AndWith(*live);
+  }
+  return Status::OK();
+}
+
+Status CombinationProber::Compile(
+    const std::vector<Combination>& frontier) const {
   plan_.member_words.clear();
   plan_.groups.clear();
   plan_.items.clear();
@@ -44,11 +112,10 @@ Status BatchProber::Compile(const std::vector<Combination>& frontier) const {
   // With tombstoned keys in the engine, the live mask joins every non-empty
   // combination as one more single-member AND group, so the shard kernels
   // mask deleted keys out with zero extra code paths — the same mask
-  // CombinationProber::BitsInto ANDs.
+  // BitsInto ANDs.
   const uint64_t* mask_words = nullptr;
-  if (prober_->engine().has_tombstones()) {
-    HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* live,
-                           prober_->engine().UniverseBitmap());
+  if (engine_->has_tombstones()) {
+    HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* live, engine_->UniverseBitmap());
     mask_words = live->word_data();
     plan_.num_words = live->num_words();
   }
@@ -59,8 +126,7 @@ Status BatchProber::Compile(const std::vector<Combination>& frontier) const {
       CompiledFrontier::Group g;
       g.begin = static_cast<uint32_t>(plan_.member_words.size());
       for (size_t member : group.members) {
-        HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* bits,
-                               prober_->PreferenceBits(member));
+        HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* bits, PreferenceBits(member));
         plan_.member_words.push_back(bits->word_data());
         plan_.num_words = bits->num_words();
       }
@@ -81,20 +147,20 @@ Status BatchProber::Compile(const std::vector<Combination>& frontier) const {
 }
 
 template <typename Kernel>
-std::vector<size_t> BatchProber::RunShards(size_t num_words, size_t num_items,
-                                           Kernel&& kernel) const {
+std::vector<size_t> CombinationProber::RunShards(size_t num_words,
+                                                 size_t num_items,
+                                                 Kernel&& kernel) const {
   std::vector<size_t> counts(num_items, 0);
-  size_t shard_words = ShardWords(options_);
   size_t num_shards = 0;
-  for (size_t w0 = 0; w0 < num_words; w0 += shard_words, ++num_shards) {
-    kernel(w0, std::min(num_words, w0 + shard_words), counts.data());
+  for (size_t w0 = 0; w0 < num_words; w0 += shard_words_, ++num_shards) {
+    kernel(w0, std::min(num_words, w0 + shard_words_), counts.data());
   }
-  prober_->engine().NoteBatchAnswered(num_items, num_shards);
+  engine_->NoteBatchAnswered(num_items, num_shards);
   HYPRE_TELEMETRY_STMT(RecordBatchShape(num_items, num_shards));
   return counts;
 }
 
-Result<std::vector<size_t>> BatchProber::CountBatch(
+Result<std::vector<size_t>> CombinationProber::CountBatch(
     const std::vector<Combination>& frontier) const {
   telemetry::TraceSpan span("prober", "count_batch");
   if (frontier.empty()) return std::vector<size_t>{};
@@ -103,7 +169,7 @@ Result<std::vector<size_t>> BatchProber::CountBatch(
   const parallel::WordKernels& kn = parallel::ActiveWordKernels();
   // One shard-wide OR-group buffer and one AND accumulator; a shard never
   // spans more than the bitmap, so neither outgrows it.
-  size_t buffer_words = std::min(ShardWords(options_), plan.num_words);
+  size_t buffer_words = std::min(shard_words_, plan.num_words);
   if (shard_scratch_.size() < 2 * buffer_words) {
     shard_scratch_.resize(2 * buffer_words);
   }
@@ -151,11 +217,11 @@ Result<std::vector<size_t>> BatchProber::CountBatch(
   });
 }
 
-Result<std::vector<size_t>> BatchProber::CountAnds(size_t num_words) const {
+Result<std::vector<size_t>> CombinationProber::CountAnds(
+    size_t num_words) const {
   const uint64_t* mask = nullptr;
-  if (prober_->engine().has_tombstones()) {
-    HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* live,
-                           prober_->engine().UniverseBitmap());
+  if (engine_->has_tombstones()) {
+    HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* live, engine_->UniverseBitmap());
     mask = live->word_data();
   }
   const parallel::WordKernels& kn = parallel::ActiveWordKernels();
@@ -171,28 +237,27 @@ Result<std::vector<size_t>> BatchProber::CountAnds(size_t num_words) const {
   });
 }
 
-Result<std::vector<size_t>> BatchProber::CountExtensions(
+Result<std::vector<size_t>> CombinationProber::CountExtensions(
     const KeyBitmap& base, const std::vector<size_t>& candidates) const {
   telemetry::TraceSpan span("prober", "count_extensions");
   if (candidates.empty()) return std::vector<size_t>{};
   and_operands_.clear();
   for (size_t candidate : candidates) {
-    HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* bits,
-                           prober_->PreferenceBits(candidate));
+    HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* bits, PreferenceBits(candidate));
     and_operands_.emplace_back(base.word_data(), bits->word_data());
   }
   return CountAnds(base.num_words());
 }
 
-Result<std::vector<size_t>> BatchProber::CountPairs(
+Result<std::vector<size_t>> CombinationProber::CountPairs(
     const std::vector<std::pair<size_t, size_t>>& pairs) const {
   telemetry::TraceSpan span("prober", "count_pairs");
   if (pairs.empty()) return std::vector<size_t>{};
   and_operands_.clear();
   size_t num_words = 0;
   for (const auto& [i, j] : pairs) {
-    HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* a, prober_->PreferenceBits(i));
-    HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* b, prober_->PreferenceBits(j));
+    HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* a, PreferenceBits(i));
+    HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* b, PreferenceBits(j));
     and_operands_.emplace_back(a->word_data(), b->word_data());
     num_words = a->num_words();
   }

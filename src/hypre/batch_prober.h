@@ -1,74 +1,103 @@
-// Batched, sharded combination probing — the only probe path the
-// combination algorithms take.
+// CombinationProber: the one probe handle the combination algorithms take.
+//
+// A prober is built per algorithm run over a fixed preference list and a
+// ProbeEngine. It caches each preference's key bitmap (materialized through
+// the engine, once per engine epoch) and answers two kinds of question from
+// that cache, never from the database:
+//
+//   BitsInto(combination)        one combination's key bitmap (OR within
+//                                groups, AND across groups, live mask) —
+//                                for PEPS expansion bases and Top-K walks
+//   CountBatch / CountExtensions /
+//   CountPairs(frontier)         matching-key COUNTS for a whole frontier
+//                                in one blocked pass — every count an
+//                                algorithm records goes through these
 //
 // Probing a frontier of F combinations one at a time would re-stream every
-// referenced leaf bitmap F times. BatchProber evaluates the whole frontier
-// in one BLOCKED pass instead: the universe's bitmap words are partitioned
-// into fixed-width shards, and for each shard every pending combination's
-// OR-within-group / AND-across-groups words and popcounts are computed while
-// that shard's leaf words are cache-resident. The inner word loops route
-// through parallel::ActiveWordKernels() (AVX2 when the build compiles it
-// in, the portable scalar kernels under -DHYPRE_SIMD=OFF).
+// referenced leaf bitmap F times. The count methods evaluate the whole
+// frontier in one BLOCKED pass instead: the universe's bitmap words are
+// partitioned into fixed-width shards, and for each shard every pending
+// combination's OR-within-group / AND-across-groups words and popcounts are
+// computed while that shard's leaf words are cache-resident. The inner word
+// loops route through parallel::ActiveWordKernels() (AVX2 when the build
+// compiles it in, the portable scalar kernels under -DHYPRE_SIMD=OFF).
 //
-// Every entry point runs its kernel through one private loop over the
+// Every count method runs its kernel through one private loop over the
 // shards, inline on the calling thread, adding each shard's popcounts into
 // the per-combination counts — so counts are exact and identical for every
 // shard width. A request's batches stay on its own thread: the server's
 // parallelism is its concurrent requests. Compiled operands and the shard
 // scratch live in reused members, so a batch allocates nothing per call
-// beyond the returned counts. The tests hold the batch layer to an
-// independent oracle: CombinationProber::BitsInto followed by
-// KeyBitmap::Count, per combination (tests/probe_oracle.h).
+// beyond the returned counts. The tests hold the count methods to an
+// independent oracle: BitsInto followed by KeyBitmap::Count, per
+// combination (tests/probe_oracle.h).
 //
-// All probes are answered from the per-preference bitmaps the shared
-// CombinationProber caches; the only DB work on this path is the bulk leaf
-// prefetch (CombinationProber::PrefetchAll) before the first batch.
+// The only DB work on this path is the bulk leaf prefetch (PrefetchAll)
+// before the first probe.
 //
-// Delta maintenance: the member bitmaps come from the CombinationProber,
-// which revalidates them against the engine epoch, so batches issued after
-// a ProbeEngine::Refresh() see the refreshed state. When the engine carries
-// tombstoned keys, Compile() appends the engine's live mask to every
-// combination as one more AND group (and the two-operand AND kernel behind
-// CountExtensions/CountPairs ANDs it in directly), keeping deleted keys out
-// of every count.
+// Delta maintenance: the prober revalidates its cached per-preference
+// bitmaps against ProbeEngine::epoch() on every access, so after a
+// Refresh() the next probe transparently re-derives them from the patched
+// leaf cache (pure bitmap algebra, no DB work unless the refresh
+// compacted). When the engine carries tombstoned keys, BitsInto ANDs the
+// engine's live mask into its result, Compile() appends the same mask to
+// every combination as one more AND group, and the two-operand AND kernel
+// behind CountExtensions/CountPairs ANDs it in directly, keeping deleted
+// keys out of every probe.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "hypre/combination.h"
 #include "hypre/key_bitmap.h"
+#include "hypre/probe_engine.h"
 
 namespace hypre {
 namespace core {
 
-/// \brief Knobs for the batch probe layer, threaded through the combination
-/// algorithms.
-struct ProbeOptions {
-  /// 64-bit words per shard. Bounds the cache working set of one blocked
-  /// pass: one shard touches shard_words * 8 bytes of every distinct leaf
-  /// bitmap in the frontier. The default (512 words = 4 KiB per bitmap per
-  /// shard) keeps ~50 concurrent leaves inside a 256 KiB L2 while keeping
-  /// the per-shard loop overhead small.
-  size_t shard_words = 512;
-};
-
-/// \brief Evaluates frontiers of combinations in blocked passes over the
-/// shared CombinationProber's cached per-preference bitmaps. `prober` must
-/// outlive the batch prober. Not thread-safe (calls share reused scratch);
-/// every algorithm run builds its own.
-class BatchProber {
+/// \brief Bitmap-backed prober over a fixed preference list (see the file
+/// comment). Not thread-safe (probes share reused scratch); every algorithm
+/// run builds its own.
+class CombinationProber {
  public:
-  explicit BatchProber(const CombinationProber* prober,
-                       ProbeOptions options = ProbeOptions{})
-      : prober_(prober), options_(options) {}
+  /// 64-bit words per shard. Bounds the cache working set of one blocked
+  /// pass: one shard touches kShardWords * 8 bytes of every distinct leaf
+  /// bitmap in the frontier. 512 words = 4 KiB per bitmap per shard keeps
+  /// ~50 concurrent leaves inside a 256 KiB L2 while keeping the per-shard
+  /// loop overhead small.
+  static constexpr size_t kShardWords = 512;
+
+  /// `combiner` and `engine` must outlive the prober. `shard_words` (> 0)
+  /// is the blocked-pass width; counts do not depend on it.
+  CombinationProber(const Combiner* combiner, const ProbeEngine* engine,
+                    size_t shard_words = kShardWords)
+      : combiner_(combiner), engine_(engine), shard_words_(shard_words) {}
+
+  /// \brief Bulk-prefetches every preference's leaf bitmaps through
+  /// ProbeEngine::PrefetchLeaves (ONE pass over the executor instead of one
+  /// query per leaf) and materializes all per-preference bitmaps from the
+  /// warmed cache. Idempotent; call before an algorithm starts probing.
+  Status PrefetchAll() const;
+
+  /// \brief Key bitmap of one preference (the combination leaf handle).
+  Result<const KeyBitmap*> PreferenceBits(size_t index) const;
+
+  /// \brief Evaluates the combination (AND of OR-groups) into `out`,
+  /// reusing its storage — the per-combination path for hot loops (PEPS
+  /// expansion bases, Top-K walks) that would otherwise allocate a bitmap
+  /// per probe. Same group-level semantics as engine-evaluating
+  /// Combiner::BuildExpr, without building and walking an expression tree.
+  /// The empty combination yields a default (0-bit) bitmap.
+  Status BitsInto(const Combination& combination, KeyBitmap* out) const;
 
   /// \brief Matching-key counts for every combination in `frontier`, in
-  /// order; counts[i] is the popcount of CombinationProber::BitsInto on
-  /// frontier[i] (0 for the empty combination).
+  /// order; counts[i] is the popcount of BitsInto on frontier[i] (0 for the
+  /// empty combination).
   Result<std::vector<size_t>> CountBatch(
       const std::vector<Combination>& frontier) const;
 
@@ -83,8 +112,7 @@ class BatchProber {
   Result<std::vector<size_t>> CountPairs(
       const std::vector<std::pair<size_t, size_t>>& pairs) const;
 
-  const ProbeOptions& options() const { return options_; }
-  const CombinationProber& prober() const { return *prober_; }
+  const ProbeEngine& engine() const { return *engine_; }
 
  private:
   // A frontier compiled to flat word-pointer arrays the shard kernels can
@@ -118,11 +146,19 @@ class BatchProber {
   std::vector<size_t> RunShards(size_t num_words, size_t num_items,
                                 Kernel&& kernel) const;
 
-  const CombinationProber* prober_;
-  ProbeOptions options_;
-  // Reused per-call state (CountExtensions runs once per popped PEPS DFS
-  // frame, CountBatch once per exhaustive generation), so a batch does no
-  // heap allocation beyond the returned counts once these have grown.
+  const Combiner* combiner_;
+  const ProbeEngine* engine_;
+  size_t shard_words_;
+  // Lazily materialized per-preference bitmaps, indexed like the list;
+  // dropped wholesale when the engine epoch moves past cached_epoch_.
+  mutable std::vector<std::unique_ptr<KeyBitmap>> member_bits_;
+  mutable uint64_t cached_epoch_ = 0;
+  // Reused OR-group accumulator for BitsInto.
+  mutable KeyBitmap group_scratch_;
+  // Reused per-call state of the count methods (CountExtensions runs once
+  // per popped PEPS DFS frame, CountBatch once per exhaustive generation),
+  // so a batch does no heap allocation beyond the returned counts once
+  // these have grown.
   mutable CompiledFrontier plan_;
   mutable std::vector<std::pair<const uint64_t*, const uint64_t*>>
       and_operands_;

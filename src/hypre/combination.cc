@@ -117,77 +117,5 @@ std::string Combiner::ToSql(const Combination& combination) const {
   return BuildExpr(combination)->ToString();
 }
 
-Status CombinationProber::PrefetchAll() const {
-  const auto& prefs = combiner_->preferences();
-  std::vector<reldb::ExprPtr> exprs;
-  exprs.reserve(prefs.size());
-  for (const auto& pref : prefs) exprs.push_back(pref.expr);
-  HYPRE_RETURN_NOT_OK(engine_->PrefetchLeaves(exprs));
-  // Materializing the per-preference bitmaps is now pure bitmap algebra.
-  for (size_t i = 0; i < prefs.size(); ++i) {
-    HYPRE_RETURN_NOT_OK(PreferenceBits(i).status());
-  }
-  return Status::OK();
-}
-
-Result<const KeyBitmap*> CombinationProber::PreferenceBits(
-    size_t index) const {
-  if (cached_epoch_ != engine_->epoch()) {
-    // The engine refreshed under us: every cached bitmap reflects a dead
-    // epoch. Drop them all; re-materialization below is pure bitmap algebra
-    // over the patched leaf cache.
-    member_bits_.clear();
-    cached_epoch_ = engine_->epoch();
-  }
-  if (member_bits_.size() < combiner_->preferences().size()) {
-    member_bits_.resize(combiner_->preferences().size());
-  }
-  if (member_bits_[index] == nullptr) {
-    HYPRE_ASSIGN_OR_RETURN(
-        KeyBitmap bits,
-        engine_->EvalBitmap(combiner_->preferences()[index].expr));
-    member_bits_[index] = std::make_unique<KeyBitmap>(std::move(bits));
-  }
-  return member_bits_[index].get();
-}
-
-Status CombinationProber::BitsInto(const Combination& combination,
-                                   KeyBitmap* out) const {
-  bool first = true;
-  for (const auto& group : combination.groups) {
-    const KeyBitmap* group_bits;
-    if (group.members.size() == 1) {
-      HYPRE_ASSIGN_OR_RETURN(group_bits, PreferenceBits(group.members[0]));
-    } else {
-      HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* bits0,
-                             PreferenceBits(group.members[0]));
-      group_scratch_ = *bits0;
-      for (size_t pos = 1; pos < group.members.size(); ++pos) {
-        HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* bits,
-                               PreferenceBits(group.members[pos]));
-        group_scratch_.OrWith(*bits);
-      }
-      group_bits = &group_scratch_;
-    }
-    if (first) {
-      *out = *group_bits;
-      first = false;
-    } else {
-      out->AndWith(*group_bits);
-      if (out->None()) break;  // short-circuit: empty intersection
-    }
-  }
-  if (first) {
-    *out = KeyBitmap();
-    return Status::OK();
-  }
-  // Tombstoned keys are masked out of every probe result (delta contract).
-  if (engine_->has_tombstones()) {
-    HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* live, engine_->UniverseBitmap());
-    out->AndWith(*live);
-  }
-  return Status::OK();
-}
-
 }  // namespace core
 }  // namespace hypre

@@ -7,14 +7,11 @@
 // Proposition 2), f_and across groups (order independent, Proposition 1).
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
-#include "hypre/key_bitmap.h"
 #include "hypre/preference.h"
-#include "hypre/probe_engine.h"
 #include "reldb/expr.h"
 
 namespace hypre {
@@ -77,55 +74,6 @@ class Combiner {
 
  private:
   const std::vector<PreferenceAtom>* preferences_;
-};
-
-/// \brief Bitmap-backed prober over a fixed preference list: materializes
-/// each preference's key bitmap (lazily, once per engine epoch) through the
-/// probe engine, and evaluates single combinations with word-wise OR within
-/// groups and AND across groups — the same group-level semantics as
-/// engine-evaluating BuildExpr(), without rebuilding and re-walking an
-/// expression tree. Combination COUNTS go through BatchProber (see
-/// batch_prober.h), which reads the per-preference bitmaps cached here.
-///
-/// Epoch consistency: the prober revalidates its cached per-preference
-/// bitmaps against ProbeEngine::epoch() on every access, so after a
-/// Refresh() the next probe transparently re-derives them from the patched
-/// leaf cache (pure bitmap algebra, no DB work unless the refresh
-/// compacted). When the engine carries tombstoned keys, every probe result
-/// additionally ANDs the engine's live mask, keeping deleted keys out even
-/// of stale-bit corners.
-class CombinationProber {
- public:
-  /// `combiner` and `engine` must outlive the prober.
-  CombinationProber(const Combiner* combiner, const ProbeEngine* engine)
-      : combiner_(combiner), engine_(engine) {}
-
-  /// \brief Bulk-prefetches every preference's leaf bitmaps through
-  /// ProbeEngine::PrefetchLeaves (ONE pass over the executor instead of one
-  /// query per leaf) and materializes all per-preference bitmaps from the
-  /// warmed cache. Idempotent; call before an algorithm starts probing.
-  Status PrefetchAll() const;
-
-  /// \brief Key bitmap of one preference (the combination leaf handle).
-  Result<const KeyBitmap*> PreferenceBits(size_t index) const;
-
-  /// \brief Evaluates the combination (AND of OR-groups) into `out`,
-  /// reusing its storage — the per-combination path for hot loops (PEPS
-  /// expansion bases, Top-K walks) that would otherwise allocate a bitmap
-  /// per probe. The empty combination yields a default (0-bit) bitmap.
-  Status BitsInto(const Combination& combination, KeyBitmap* out) const;
-
-  const ProbeEngine& engine() const { return *engine_; }
-
- private:
-  const Combiner* combiner_;
-  const ProbeEngine* engine_;
-  // Lazily materialized per-preference bitmaps, indexed like the list;
-  // dropped wholesale when the engine epoch moves past cached_epoch_.
-  mutable std::vector<std::unique_ptr<KeyBitmap>> member_bits_;
-  mutable uint64_t cached_epoch_ = 0;
-  // Reused OR-group accumulator for BitsInto.
-  mutable KeyBitmap group_scratch_;
 };
 
 }  // namespace core

@@ -30,7 +30,8 @@
 //    their dictionary mapping is forgotten, and their dense id joins the
 //    free list. Stale leaf bits at tombstoned ids are NOT scrubbed eagerly;
 //    every probe path ANDs the live mask instead (ProbeEngine::Eval,
-//    CombinationProber::Count/BitsInto, BatchProber's compiled mask group).
+//    CombinationProber::BitsInto, and the mask group CombinationProber
+//    compiles into every batch count).
 //  * Key order. The ids the append pass added or recycled are merged into
 //    the engine's value-sorted key order (ProbeEngine::MergeKeyOrder), at
 //    O(n) integer moves plus O(k log n) compares for k such ids, instead
@@ -41,9 +42,10 @@
 //    path that keeps the dense-id space tight.
 //
 // Every applied Refresh bumps the engine epoch. CombinationProber (and
-// through it BatchProber and all six algorithms) revalidates its cached
-// per-preference bitmaps against the epoch, so algorithm runs started after
-// a Refresh see one consistent snapshot.
+// through it the five prober-based algorithms) revalidates its cached
+// per-preference bitmaps against the epoch, and TA evaluates its atoms
+// through the engine directly, so algorithm runs started after a Refresh
+// see one consistent snapshot.
 #pragma once
 
 #include <cstdint>

@@ -48,7 +48,7 @@ class KeyBitmap {
   void Resize(size_t num_bits);
 
   /// \brief Raw word storage (num_words() entries, tail bits past num_bits()
-  /// always clear). The batch prober's blocked shard passes read and write
+  /// always clear). CombinationProber's blocked shard passes read and write
   /// through these instead of per-bit accessors.
   const uint64_t* word_data() const { return words_.data(); }
   uint64_t* word_data() { return words_.data(); }

@@ -1,8 +1,8 @@
 // Vectorized word kernels for the bitmap probe path.
 //
-// Every hot loop in KeyBitmap and BatchProber is a streaming pass over
-// contiguous uint64_t words: OR-within-group, AND-across-groups, live-mask
-// AND, and popcount accumulation. This header exposes those passes as a
+// Every hot loop in KeyBitmap and CombinationProber's batch counts is a
+// streaming pass over contiguous uint64_t words: OR-within-group,
+// AND-across-groups, live-mask AND, and popcount accumulation. This header exposes those passes as a
 // table of function pointers with two implementations:
 //
 //  * scalar — portable C++ (std::popcount word loop), always compiled. On

@@ -548,6 +548,16 @@ Result<KeyBitmap> ProbeEngine::EvalBitmap(
   return Eval(predicate);
 }
 
+reldb::Query ProbeEngine::Enhance(const reldb::ExprPtr& predicate) const {
+  reldb::Query query = base_query_;
+  if (query.where && predicate) {
+    query.where = reldb::MakeAnd(query.where, predicate);
+  } else if (predicate) {
+    query.where = predicate;
+  }
+  return query;
+}
+
 Result<size_t> ProbeEngine::CountMatching(
     const reldb::ExprPtr& predicate) const {
   std::string key = predicate ? CanonicalKey(*predicate) : "";

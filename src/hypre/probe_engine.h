@@ -11,9 +11,24 @@
 //  2. Leaf bitmaps. Each leaf predicate runs against the database exactly
 //     once (base query AND leaf, streaming dense ids straight into a
 //     bitmap); the bitmap is cached under a canonical predicate key.
-//  3. Set algebra. Group-level AND/OR/NOT (dissertation §4.6 semantics, see
-//     query_enhancement.h) reduce to word-wise AND/OR/ANDNOT, and
-//     CountMatching to popcount.
+//  3. Set algebra. Group-level AND/OR/NOT (dissertation §4.6 semantics,
+//     below) reduce to word-wise AND/OR/ANDNOT, and CountMatching to
+//     popcount.
+//
+// Matching semantics — group-level (existential). The dissertation's
+// enhanced queries run over `dblp JOIN dblp_author` and freely AND two
+// author predicates (`dblp_author.aid=2222 AND dblp_author.aid=4787`,
+// §5.3.1) expecting papers co-authored by both. On a per-joined-row basis
+// that predicate is unsatisfiable (each joined row carries ONE aid), so the
+// intended meaning is per *key* (per paper): a key matches a leaf predicate
+// if at least one of its joined rows does, and AND/OR/NOT combine those key
+// sets. That is exactly how the engine evaluates predicates:
+//   leaf      -> distinct keys of the base query filtered by the leaf
+//   AND       -> set intersection
+//   OR        -> set union
+//   NOT       -> complement against the base query's key universe
+// For single-table leaf predicates this coincides with row-level SQL
+// semantics, because the key determines the row of each base table.
 //
 // Cache keys are canonical, not rendered SQL: commutative AND/OR children
 // are sorted, mirrored comparisons (literal op column) are flipped, and IN
@@ -53,10 +68,10 @@ struct ProbeStats {
   /// canonical leaf per epoch rebuild (see the contract in ProbeEngine).
   size_t num_leaf_queries = 0;
   /// Probes answered from cached state with no DB work (memo hits plus
-  /// every combination probe answered by the batch prober).
+  /// every combination probe answered by a CombinationProber batch).
   size_t num_cache_hits = 0;
-  /// Batch frontiers evaluated by BatchProber (CountBatch, CountExtensions
-  /// and CountPairs calls that reached a kernel).
+  /// Batch frontiers evaluated by CombinationProber (CountBatch,
+  /// CountExtensions and CountPairs calls that reached a kernel).
   size_t num_batches = 0;
   /// Probes answered inside those batches (sum of frontier sizes); always
   /// <= num_cache_hits.
@@ -165,6 +180,10 @@ class ProbeEngine {
   /// commutative AND/OR child order, IN-list order, and mirrored
   /// comparisons.
   static std::string CanonicalKey(const reldb::Expr& expr);
+
+  /// \brief The base query with `predicate` ANDed into its WHERE clause —
+  /// the literal SQL rewriting of §4.6, for display and row-level execution.
+  reldb::Query Enhance(const reldb::ExprPtr& predicate) const;
 
   /// \brief Number of distinct keys matching `predicate` (null = the whole
   /// universe) under group-level semantics. Memoized.
@@ -337,7 +356,7 @@ class ProbeEngine {
   /// the universe but its dense id not yet recycled). When true, cached leaf
   /// bitmaps may carry stale bits at tombstoned ids and every probe must
   /// AND the live mask (UniverseBitmap) — the engine's own evaluation and
-  /// the combination/batch probers all do.
+  /// CombinationProber both do.
   bool has_tombstones() const { return num_tombstones_ > 0; }
   size_t num_tombstones() const { return num_tombstones_; }
 
@@ -372,21 +391,12 @@ class ProbeEngine {
   //    This holds for on-demand and prefetched leaves alike.
   //  * num_cache_hits counts probes answered from cached state with no DB
   //    work: CountMatching memo hits, plus every combination probe answered
-  //    by a BatchProber batch (one per combination/candidate/pair in the
+  //    by a CombinationProber batch (one per combination/candidate/pair in the
   //    frontier, consumed by the caller or not), plus what callers report
   //    through NoteProbesAnswered (bias-random's chain-extension checks).
   //    Other raw KeyBitmap algebra done outside the probe layer (BitsInto,
   //    Top-K walks) is never counted.
 
-  /// \brief Number of leaf-predicate probes executed against the database
-  /// (the one-time universe interning scan is not counted).
-  size_t num_leaf_queries() const {
-    return num_leaf_queries_.load(std::memory_order_relaxed);
-  }
-  /// \brief Number of count probes answered from the memo cache.
-  size_t num_cache_hits() const {
-    return num_cache_hits_.load(std::memory_order_relaxed);
-  }
   /// \brief One consolidated snapshot of every probe counter (leaf queries,
   /// cache hits, batch layer activity) over the engine's LIFETIME. The API
   /// layer reports per-request statistics through a

@@ -18,11 +18,10 @@ void SortRanked(std::vector<RankedTuple>* tuples) {
 }
 
 Result<std::vector<RankedTuple>> ScoreTuplesByPreferences(
-    const QueryEnhancer& enhancer,
+    const ProbeEngine& engine,
     const std::vector<PreferenceAtom>& preferences) {
   // For each preference, probe its key bitmap, then fold f_and per key over
   // dense score/matched arrays (one slot per universe key).
-  const ProbeEngine& engine = enhancer.probe_engine();
   HYPRE_ASSIGN_OR_RETURN(size_t universe, engine.UniverseSize());
   std::vector<double> score(universe, 0.0);
   std::vector<char> matched(universe, 0);

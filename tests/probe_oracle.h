@@ -1,13 +1,14 @@
 // Test-only probe oracle: the per-combination evaluation every batched
 // probe result is checked against.
 //
-// The library has one probe path, BatchProber (src/hypre/batch_prober.h),
-// which compiles a frontier to flat word-pointer arrays and walks it shard
-// by shard. The oracle shares none of that machinery:
-// it evaluates ONE combination at a time with CombinationProber::BitsInto
-// (OR within groups, AND across groups, then the live mask) and counts the
-// result with KeyBitmap::Count. It plays the role HashSetReference plays
-// for the bitmap engine in test_probe_engine.cc, one layer up.
+// The library counts through one probe path, CombinationProber's batch
+// methods (src/hypre/batch_prober.h), which compile a frontier to flat
+// word-pointer arrays and walk it shard by shard. The oracle shares none of
+// that machinery: it evaluates ONE combination at a time with
+// CombinationProber::BitsInto (OR within groups, AND across groups, then
+// the live mask) and counts the result with KeyBitmap::Count. It plays the
+// role HashSetReference plays for the bitmap engine in test_probe_engine.cc,
+// one layer up.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "hypre/algorithms/common.h"
+#include "hypre/batch_prober.h"
 #include "hypre/combination.h"
 #include "hypre/key_bitmap.h"
 
@@ -45,7 +47,7 @@ inline std::vector<size_t> Counts(const CombinationProber& prober,
 }
 
 /// \brief Oracle counts for `base AND preference[k]`, per candidate k — the
-/// expected output of BatchProber::CountExtensions on BitsInto(base).
+/// expected output of CombinationProber::CountExtensions on BitsInto(base).
 inline std::vector<size_t> ExtensionCounts(
     const CombinationProber& prober, const Combiner& combiner,
     const Combination& base, const std::vector<size_t>& candidates) {
@@ -55,7 +57,7 @@ inline std::vector<size_t> ExtensionCounts(
 }
 
 /// \brief Oracle counts for `preference[i] AND preference[j]`, per pair —
-/// the expected output of BatchProber::CountPairs.
+/// the expected output of CombinationProber::CountPairs.
 inline std::vector<size_t> PairCounts(
     const CombinationProber& prober, const Combiner& combiner,
     const std::vector<std::pair<size_t, size_t>>& pairs) {

@@ -134,8 +134,8 @@ TEST_F(AlgorithmsTest, CombineTwoOrderingObservation) {
 TEST_F(AlgorithmsTest, CombineTwoDirectShimMatchesSession) {
   // The free-function entry point is kept as a compatibility shim; its
   // output must stay identical to registry dispatch.
-  QueryEnhancer enhancer(&db_, MiniBaseQuery(), "dblp.pid");
-  auto direct = CombineTwo(prefs_, enhancer, CombineSemantics::kAnd);
+  ProbeEngine engine(&db_, MiniBaseQuery(), "dblp.pid");
+  auto direct = CombineTwo(prefs_, engine, CombineSemantics::kAnd);
   ASSERT_TRUE(direct.ok()) << direct.status().ToString();
   auto via_session = Records("combine-two");
   ASSERT_EQ(direct->size(), via_session.size());
@@ -236,14 +236,14 @@ TEST_F(AlgorithmsTest, ExhaustiveGuardsAgainstBlowup) {
 TEST_F(AlgorithmsTest, ExhaustiveRefusesSixtyFourOrMorePreferences) {
   // Subsets are enumerated as a 64-bit mask, so a raised max_n must not
   // let 64+ preferences through (the mask shift would be undefined).
-  QueryEnhancer enhancer(&db_, MiniBaseQuery(), "dblp.pid");
+  ProbeEngine engine(&db_, MiniBaseQuery(), "dblp.pid");
   for (int n : {64, 65}) {
     std::vector<PreferenceAtom> many;
     for (int i = 0; i < n; ++i) {
       many.push_back(
           MakeAtom(StringFormat("dblp.year=%d", 1900 + i), 0.5).value());
     }
-    auto result = ExhaustiveAndCombinations(many, enhancer, /*max_n=*/100);
+    auto result = ExhaustiveAndCombinations(many, engine, /*max_n=*/100);
     ASSERT_FALSE(result.ok()) << "n=" << n;
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
         << result.status().ToString();

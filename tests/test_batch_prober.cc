@@ -1,12 +1,12 @@
-// BatchProber tests: randomized differential sweep of the batched, sharded
-// probe kernels against the per-combination oracle (probe_oracle.h:
-// BitsInto, then Count) across shard widths (1 word, widths that do and do
-// not divide the word count, wider than the bitmap); degenerate frontiers;
-// one batch prober reused across frontiers; the probe-statistics contract under
-// prefetch; and every combination algorithm's records checked against the
-// same oracle, identical across probe configurations. Which word kernels
-// run is a build choice (-DHYPRE_SIMD=OFF selects the portable ones); the
-// suite passes on either.
+// CombinationProber batch-count tests: randomized differential sweep of the
+// batched, sharded probe kernels against the per-combination oracle
+// (probe_oracle.h: BitsInto, then Count) across shard widths (1 word, widths
+// that do and do not divide the word count, wider than the bitmap); a
+// multi-shard universe at the default width with tombstoned ids; degenerate
+// frontiers; one prober reused across frontiers; the probe-statistics
+// contract under prefetch; and every combination algorithm's records
+// checked against the same oracle. Which word kernels run is a build choice
+// (-DHYPRE_SIMD=OFF selects the portable ones); the suite passes on either.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -41,17 +41,12 @@ using testing_fixtures::MiniPreferences;
 // shard count), 2 and 3 (do not divide 5: a short tail shard), 4 (one full
 // shard plus a one-word tail), 7 (wider than the bitmap: one short shard),
 // the 512-word default, and a shard wide enough for any universe.
-std::vector<ProbeOptions> OptionMatrix() {
-  std::vector<ProbeOptions> matrix;
-  for (size_t shard_words : {size_t{1}, size_t{2}, size_t{3}, size_t{4},
-                             size_t{7}, size_t{512}, size_t{1} << 20}) {
-    matrix.push_back(ProbeOptions{shard_words});
-  }
-  return matrix;
+std::vector<size_t> OptionMatrix() {
+  return {1, 2, 3, 4, 7, CombinationProber::kShardWords, size_t{1} << 20};
 }
 
-std::string DescribeOptions(const ProbeOptions& options) {
-  return "shard_words=" + std::to_string(options.shard_words);
+std::string DescribeWidth(size_t shard_words) {
+  return "shard_words=" + std::to_string(shard_words);
 }
 
 /// Random papers/tags workload (same shape as the probe-engine fuzz) big
@@ -86,7 +81,7 @@ class RandomWorkload {
     reldb::Query base;
     base.from = "p";
     base.joins.push_back({"tag", "p.pid", "pid"});
-    enhancer_ = std::make_unique<QueryEnhancer>(&db_, base, "p.pid");
+    engine_ = std::make_unique<ProbeEngine>(&db_, base, "p.pid");
 
     auto add = [&](const std::string& pred, double intensity) {
       auto atom = MakeAtom(pred, intensity);
@@ -115,15 +110,15 @@ class RandomWorkload {
   }
 
   reldb::Database db_;
-  std::unique_ptr<QueryEnhancer> enhancer_;
+  std::unique_ptr<ProbeEngine> engine_;
   std::vector<PreferenceAtom> prefs_;
   Rng rng_;
 };
 
-TEST(BatchProber, CountBatchMatchesOracleAcrossShardWidths) {
+TEST(ProberBatch, CountBatchMatchesOracleAcrossShardWidths) {
   RandomWorkload w(1234);
   Combiner combiner(&w.prefs_);
-  CombinationProber prober(&combiner, &w.enhancer_->probe_engine());
+  CombinationProber prober(&combiner, w.engine_.get());
 
   // Frontier with mixed shapes, duplicates, and the empty combination.
   std::vector<Combination> frontier;
@@ -133,9 +128,9 @@ TEST(BatchProber, CountBatchMatchesOracleAcrossShardWidths) {
 
   std::vector<size_t> expected_counts = probe_oracle::Counts(prober, frontier);
 
-  for (const ProbeOptions& options : OptionMatrix()) {
-    SCOPED_TRACE(DescribeOptions(options));
-    BatchProber batch(&prober, options);
+  for (size_t shard_words : OptionMatrix()) {
+    SCOPED_TRACE(DescribeWidth(shard_words));
+    CombinationProber batch(&combiner, w.engine_.get(), shard_words);
     auto counts = batch.CountBatch(frontier);
     ASSERT_TRUE(counts.ok()) << counts.status().ToString();
     EXPECT_EQ(*counts, expected_counts);
@@ -147,10 +142,10 @@ TEST(BatchProber, CountBatchMatchesOracleAcrossShardWidths) {
   }
 }
 
-TEST(BatchProber, CountExtensionsAndPairsMatchOracle) {
+TEST(ProberBatch, CountExtensionsAndPairsMatchOracle) {
   RandomWorkload w(99);
   Combiner combiner(&w.prefs_);
-  CombinationProber prober(&combiner, &w.enhancer_->probe_engine());
+  CombinationProber prober(&combiner, w.engine_.get());
   size_t n = w.prefs_.size();
 
   Combination base_combination = w.RandomCombination(combiner);
@@ -167,9 +162,9 @@ TEST(BatchProber, CountExtensionsAndPairsMatchOracle) {
   std::vector<size_t> expected_pairs =
       probe_oracle::PairCounts(prober, combiner, pairs);
 
-  for (const ProbeOptions& options : OptionMatrix()) {
-    SCOPED_TRACE(DescribeOptions(options));
-    BatchProber batch(&prober, options);
+  for (size_t shard_words : OptionMatrix()) {
+    SCOPED_TRACE(DescribeWidth(shard_words));
+    CombinationProber batch(&combiner, w.engine_.get(), shard_words);
 
     auto ext = batch.CountExtensions(base, candidates);
     ASSERT_TRUE(ext.ok()) << ext.status().ToString();
@@ -184,14 +179,14 @@ TEST(BatchProber, CountExtensionsAndPairsMatchOracle) {
   }
 }
 
-TEST(BatchProber, SkewedFrontierMatchesOracle) {
+TEST(ProberBatch, SkewedFrontierMatchesOracle) {
   // A frontier mixing many cheap single-member combinations with a block of
   // maximum-size ones, so the kernel alternates between the borrowed-pointer
   // and the materializing paths within one shard. Counts must stay
   // byte-identical to the oracle.
   RandomWorkload w(31337);
   Combiner combiner(&w.prefs_);
-  CombinationProber prober(&combiner, &w.enhancer_->probe_engine());
+  CombinationProber prober(&combiner, w.engine_.get());
   size_t n = w.prefs_.size();
 
   std::vector<Combination> frontier;
@@ -209,24 +204,24 @@ TEST(BatchProber, SkewedFrontierMatchesOracle) {
 
   std::vector<size_t> expected = probe_oracle::Counts(prober, frontier);
 
-  for (const ProbeOptions& options : OptionMatrix()) {
-    SCOPED_TRACE(DescribeOptions(options));
-    BatchProber batch(&prober, options);
+  for (size_t shard_words : OptionMatrix()) {
+    SCOPED_TRACE(DescribeWidth(shard_words));
+    CombinationProber batch(&combiner, w.engine_.get(), shard_words);
     auto counts = batch.CountBatch(frontier);
     ASSERT_TRUE(counts.ok());
     EXPECT_EQ(*counts, expected);
   }
 }
 
-TEST(BatchProber, EveryShardWidthStaysExactWithReusedScratch) {
+TEST(ProberBatch, EveryShardWidthStaysExactWithReusedScratch) {
   // Every shard width from one word to past the 5-word bitmap, so every
-  // shard boundary and every tail-shard length occurs. One batch prober per
+  // shard boundary and every tail-shard length occurs. One prober per
   // width answers frontiers of different sizes back to back: its compiled
   // frontier and shard scratch are reused across calls, and no entry of a
   // larger earlier frontier may leak into a smaller later one.
   RandomWorkload w(2024);
   Combiner combiner(&w.prefs_);
-  CombinationProber prober(&combiner, &w.enhancer_->probe_engine());
+  CombinationProber prober(&combiner, w.engine_.get());
 
   std::vector<Combination> big;
   for (int i = 0; i < 70; ++i) big.push_back(w.RandomCombination(combiner));
@@ -236,7 +231,7 @@ TEST(BatchProber, EveryShardWidthStaysExactWithReusedScratch) {
 
   for (size_t shard_words = 1; shard_words <= 8; ++shard_words) {
     SCOPED_TRACE(testing::Message() << "shard_words=" << shard_words);
-    BatchProber batch(&prober, ProbeOptions{shard_words});
+    CombinationProber batch(&combiner, w.engine_.get(), shard_words);
     for (int round = 0; round < 2; ++round) {
       auto counts = batch.CountBatch(big);
       ASSERT_TRUE(counts.ok());
@@ -248,13 +243,13 @@ TEST(BatchProber, EveryShardWidthStaysExactWithReusedScratch) {
   }
 }
 
-TEST(BatchProber, PureAndChainsMatchOracle) {
+TEST(ProberBatch, PureAndChainsMatchOracle) {
   // AND chains of every length (every group a single member) take
   // CountBatch's borrowed-pointer path, which never materializes a group
   // buffer; they must agree with the materializing oracle.
   RandomWorkload w(7);
   Combiner combiner(&w.prefs_);
-  CombinationProber prober(&combiner, &w.enhancer_->probe_engine());
+  CombinationProber prober(&combiner, w.engine_.get());
   std::vector<Combination> chains;
   Combination chain;
   for (size_t len = 1; len <= w.prefs_.size(); ++len) {
@@ -264,97 +259,171 @@ TEST(BatchProber, PureAndChainsMatchOracle) {
     chains.push_back(chain);
   }
   std::vector<size_t> expected = probe_oracle::Counts(prober, chains);
-  for (const ProbeOptions& options : OptionMatrix()) {
-    SCOPED_TRACE(DescribeOptions(options));
-    auto counts = BatchProber(&prober, options).CountBatch(chains);
+  for (size_t shard_words : OptionMatrix()) {
+    SCOPED_TRACE(DescribeWidth(shard_words));
+    auto counts = CombinationProber(&combiner, w.engine_.get(), shard_words)
+                      .CountBatch(chains);
     ASSERT_TRUE(counts.ok());
     EXPECT_EQ(*counts, expected);
   }
 }
 
-TEST(BatchProber, PrefetchedLeavesMatchOnDemandLeaves) {
+TEST(ProberBatch, DefaultWidthSpansSeveralShardsWithTombstones) {
+  // Every other fixture's universe fits in one default-width shard. Here
+  // 66,000 keys = 1,032 words: two full 512-word shards plus a partial
+  // 8-word one. Leaves are loaded before a scattered set of deletes (some
+  // in the partial shard), so the engine's cached leaves carry stale bits
+  // at tombstoned ids, which no count may include.
+  constexpr int64_t kKeys = 66000;
+  reldb::Database db;
+  auto papers = db.CreateTable("p", Schema({{"pid", ValueType::kInt64},
+                                            {"a", ValueType::kInt64},
+                                            {"b", ValueType::kInt64}}));
+  ASSERT_TRUE(papers.ok());
+  Rng rng(4242);
+  for (int64_t pid = 0; pid < kKeys; ++pid) {
+    (*papers)->AppendUnchecked(Row{Value::Int(pid),
+                                   Value::Int(rng.NextInt(0, 5)),
+                                   Value::Int(rng.NextInt(0, 7))});
+  }
+  // Refresh recomputes each deleted key with a key-pinned query.
+  ASSERT_TRUE((*papers)->CreateHashIndex("pid").ok());
+  reldb::Query base;
+  base.from = "p";
+  ProbeEngine engine(&db, base, "p.pid");
+
+  std::vector<PreferenceAtom> prefs;
+  for (const char* pred : {"p.a=0", "p.a=1", "p.a=2", "p.b=0", "p.b=1",
+                           "p.b=2", "p.b=3"}) {
+    auto atom = MakeAtom(pred, 0.9 - 0.1 * static_cast<double>(prefs.size()));
+    ASSERT_TRUE(atom.ok()) << atom.status().ToString();
+    prefs.push_back(std::move(atom.value()));
+  }
+  SortByIntensityDesc(&prefs);
+  Combiner combiner(&prefs);
+  CombinationProber prober(&combiner, &engine);
+  ASSERT_TRUE(prober.PrefetchAll().ok());
+
+  for (int64_t row = 5; row < kKeys; row += 97) {
+    ASSERT_TRUE((*papers)->Delete(static_cast<reldb::RowId>(row)).ok());
+  }
+  ASSERT_TRUE((*papers)->Delete(kKeys - 1).ok());  // last word of last shard
+  ASSERT_TRUE(engine.Refresh().ok());
+  ASSERT_TRUE(engine.has_tombstones());
+  auto universe = engine.UniverseBitmap();
+  ASSERT_TRUE(universe.ok());
+  ASSERT_GT((*universe)->num_words(), 2 * CombinationProber::kShardWords);
+  ASSERT_NE((*universe)->num_words() % CombinationProber::kShardWords, 0u);
+
+  size_t n = prefs.size();
+  std::vector<Combination> frontier;
+  for (size_t i = 0; i < n; ++i) frontier.push_back(combiner.Single(i));
+  for (int i = 0; i < 40; ++i) {
+    size_t size = 1 + rng.NextBounded(4);
+    std::set<size_t> members;
+    while (members.size() < size) members.insert(rng.NextBounded(n));
+    frontier.push_back(combiner.MixedClause(
+        std::vector<size_t>(members.begin(), members.end())));
+  }
+  size_t passes_before = engine.stats().num_shard_passes;
+  auto counts = prober.CountBatch(frontier);
+  ASSERT_TRUE(counts.ok()) << counts.status().ToString();
+  EXPECT_EQ(engine.stats().num_shard_passes - passes_before, 3u);
+  EXPECT_EQ(*counts, probe_oracle::Counts(prober, frontier));
+  // Single preferences also agree with the engine's own expression path.
+  for (size_t i = 0; i < n; ++i) {
+    auto expected = engine.CountMatching(prefs[i].expr);
+    ASSERT_TRUE(expected.ok());
+    EXPECT_EQ((*counts)[i], *expected) << prefs[i].predicate;
+  }
+
+  Combination base_combination = combiner.MixedClause({0, 1});
+  KeyBitmap base_bits;
+  ASSERT_TRUE(prober.BitsInto(base_combination, &base_bits).ok());
+  std::vector<size_t> candidates;
+  for (size_t k = 0; k < n; ++k) candidates.push_back(k);
+  auto ext = prober.CountExtensions(base_bits, candidates);
+  ASSERT_TRUE(ext.ok()) << ext.status().ToString();
+  EXPECT_EQ(*ext, probe_oracle::ExtensionCounts(prober, combiner,
+                                                base_combination, candidates));
+
+  std::vector<std::pair<size_t, size_t>> pairs;
+  for (size_t i = 0; i + 1 < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) pairs.emplace_back(i, j);
+  }
+  auto pair_counts = prober.CountPairs(pairs);
+  ASSERT_TRUE(pair_counts.ok()) << pair_counts.status().ToString();
+  EXPECT_EQ(*pair_counts, probe_oracle::PairCounts(prober, combiner, pairs));
+}
+
+TEST(ProberBatch, PrefetchedLeavesMatchOnDemandLeaves) {
   // Two engines over the same data: one bulk-prefetched, one probing leaf
   // by leaf. Every preference bitmap must come out identical.
   reldb::Database db;
   BuildMiniDblp(&db);
-  QueryEnhancer prefetched(&db, MiniBaseQuery(), "dblp.pid");
-  QueryEnhancer on_demand(&db, MiniBaseQuery(), "dblp.pid");
+  ProbeEngine prefetched(&db, MiniBaseQuery(), "dblp.pid");
+  ProbeEngine on_demand(&db, MiniBaseQuery(), "dblp.pid");
   std::vector<PreferenceAtom> prefs = MiniPreferences();
 
   std::vector<reldb::ExprPtr> exprs;
   for (const auto& pref : prefs) exprs.push_back(pref.expr);
-  ASSERT_TRUE(prefetched.probe_engine().PrefetchLeaves(exprs).ok());
+  ASSERT_TRUE(prefetched.PrefetchLeaves(exprs).ok());
 
   for (const auto& pref : prefs) {
-    auto a = prefetched.probe_engine().EvalBitmap(pref.expr);
-    auto b = on_demand.probe_engine().EvalBitmap(pref.expr);
+    auto a = prefetched.EvalBitmap(pref.expr);
+    auto b = on_demand.EvalBitmap(pref.expr);
     ASSERT_TRUE(a.ok() && b.ok());
     EXPECT_EQ(*a, *b) << pref.predicate;
   }
 }
 
-TEST(BatchProber, ProbeStatisticsContract) {
+TEST(ProberBatch, ProbeStatisticsContract) {
   // Locks the statistics contract from probe_engine.h: one leaf query per
   // distinct leaf (prefetched or not), one cache hit per answered probe.
   reldb::Database db;
   BuildMiniDblp(&db);
-  QueryEnhancer enhancer(&db, MiniBaseQuery(), "dblp.pid");
-  const ProbeEngine& engine = enhancer.probe_engine();
+  ProbeEngine engine(&db, MiniBaseQuery(), "dblp.pid");
   std::vector<PreferenceAtom> prefs = MiniPreferences();
   Combiner combiner(&prefs);
-  CombinationProber prober(&combiner, &engine);
-  BatchProber batch(&prober, ProbeOptions{4});
+  CombinationProber prober(&combiner, &engine, /*shard_words=*/4);
 
   // Bulk prefetch: 5 preferences = 5 distinct leaves, ONE executor pass but
   // one counted leaf query per leaf; no probes answered yet.
   ASSERT_TRUE(prober.PrefetchAll().ok());
-  EXPECT_EQ(engine.num_leaf_queries(), 5u);
-  EXPECT_EQ(engine.num_cache_hits(), 0u);
+  EXPECT_EQ(engine.stats().num_leaf_queries, 5u);
+  EXPECT_EQ(engine.stats().num_cache_hits, 0u);
   // Idempotent: nothing new to load.
   ASSERT_TRUE(prober.PrefetchAll().ok());
-  EXPECT_EQ(engine.num_leaf_queries(), 5u);
+  EXPECT_EQ(engine.stats().num_leaf_queries, 5u);
 
   // A one-combination batch answers one probe from cache.
-  ASSERT_TRUE(batch.CountBatch({combiner.MixedClause({0, 1})}).ok());
-  EXPECT_EQ(engine.num_cache_hits(), 1u);
-  EXPECT_EQ(engine.num_leaf_queries(), 5u);  // no new DB work
+  ASSERT_TRUE(prober.CountBatch({combiner.MixedClause({0, 1})}).ok());
+  EXPECT_EQ(engine.stats().num_cache_hits, 1u);
+  EXPECT_EQ(engine.stats().num_leaf_queries, 5u);  // no new DB work
 
   // A batch of M combinations answers M probes.
   std::vector<Combination> frontier = {combiner.MixedClause({0, 1}),
                                        combiner.MixedClause({1, 2, 3}),
                                        combiner.MixedClause({0, 4})};
-  ASSERT_TRUE(batch.CountBatch(frontier).ok());
-  EXPECT_EQ(engine.num_cache_hits(), 4u);
+  ASSERT_TRUE(prober.CountBatch(frontier).ok());
+  EXPECT_EQ(engine.stats().num_cache_hits, 4u);
 
   // An extension batch answers one probe per candidate.
   KeyBitmap base;
   ASSERT_TRUE(prober.BitsInto(combiner.Single(0), &base).ok());
-  ASSERT_TRUE(batch.CountExtensions(base, {1, 2}).ok());
-  EXPECT_EQ(engine.num_cache_hits(), 6u);
+  ASSERT_TRUE(prober.CountExtensions(base, {1, 2}).ok());
+  EXPECT_EQ(engine.stats().num_cache_hits, 6u);
 
   // The CountMatching memo hit still counts (PR 1 behavior preserved).
   auto pred = prefs[0].expr;
   ASSERT_TRUE(engine.CountMatching(pred).ok());
-  size_t hits_before = engine.num_cache_hits();
+  size_t hits_before = engine.stats().num_cache_hits;
   ASSERT_TRUE(engine.CountMatching(pred).ok());
-  EXPECT_EQ(engine.num_cache_hits(), hits_before + 1);
-  EXPECT_EQ(engine.num_leaf_queries(), 5u);
+  EXPECT_EQ(engine.stats().num_cache_hits, hits_before + 1);
+  EXPECT_EQ(engine.stats().num_leaf_queries, 5u);
 }
 
 // --- Algorithm records against the oracle -----------------------------------
-
-void ExpectRecordsIdentical(const std::vector<CombinationRecord>& a,
-                            const std::vector<CombinationRecord>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    SCOPED_TRACE(testing::Message() << "record " << i);
-    EXPECT_EQ(a[i].num_predicates, b[i].num_predicates);
-    EXPECT_EQ(a[i].num_tuples, b[i].num_tuples);
-    EXPECT_EQ(a[i].intensity, b[i].intensity);  // exact, not approximate
-    EXPECT_EQ(a[i].predicate_sql, b[i].predicate_sql);
-    EXPECT_EQ(a[i].combination.SortedMembers(), b[i].combination.SortedMembers());
-  }
-}
 
 /// Members of a combination in group order (the order a chain grew in).
 std::vector<size_t> MembersInOrder(const Combination& combination) {
@@ -379,17 +448,10 @@ std::set<std::vector<size_t>> MemberSets(
 
 class AlgorithmsMatchOracle : public ::testing::Test {
  protected:
-  /// The algorithms run under the default options (512-word shards, wider
-  /// than the 5-word bitmap), one-word shards, and 3- and 7-word shards,
-  /// which do not divide the word count.
-  static std::vector<ProbeOptions> Configurations() {
-    return {ProbeOptions{}, ProbeOptions{1}, ProbeOptions{3}, ProbeOptions{7}};
-  }
-
   void SetUp() override {
     combiner_ = std::make_unique<Combiner>(&w_.prefs_);
     prober_ = std::make_unique<CombinationProber>(
-        combiner_.get(), &w_.enhancer_->probe_engine());
+        combiner_.get(), w_.engine_.get());
   }
 
   /// Every non-empty subset of the preference list whose oracle count is
@@ -421,48 +483,28 @@ class AlgorithmsMatchOracle : public ::testing::Test {
 TEST_F(AlgorithmsMatchOracle, ExhaustiveIsExactlyTheApplicableSubsets) {
   std::set<std::vector<size_t>> applicable = ApplicableSubsets();
   ASSERT_FALSE(applicable.empty());
-  std::vector<CombinationRecord> reference;
-  for (const ProbeOptions& options : Configurations()) {
-    SCOPED_TRACE(DescribeOptions(options));
-    auto records = ExhaustiveAndCombinations(w_.prefs_, *w_.enhancer_, 20,
-                                             options);
-    ASSERT_TRUE(records.ok()) << records.status().ToString();
-    probe_oracle::ExpectRecordsMatchOracle(*prober_, *records, "exhaustive");
-    EXPECT_EQ(records->size(), applicable.size());
-    EXPECT_EQ(MemberSets(*records), applicable);
-    if (reference.empty()) reference = *records;
-    ExpectRecordsIdentical(*records, reference);
-  }
+  auto records = ExhaustiveAndCombinations(w_.prefs_, *w_.engine_, 20);
+  ASSERT_TRUE(records.ok()) << records.status().ToString();
+  probe_oracle::ExpectRecordsMatchOracle(*prober_, *records, "exhaustive");
+  EXPECT_EQ(records->size(), applicable.size());
+  EXPECT_EQ(MemberSets(*records), applicable);
 }
 
 TEST_F(AlgorithmsMatchOracle, CombineTwoAndPartiallyCombineAllMatchOracle) {
   size_t n = w_.prefs_.size();
   for (CombineSemantics semantics :
        {CombineSemantics::kAnd, CombineSemantics::kAndOr}) {
-    std::vector<CombinationRecord> reference;
-    for (const ProbeOptions& options : Configurations()) {
-      SCOPED_TRACE(DescribeOptions(options));
-      auto records = CombineTwo(w_.prefs_, *w_.enhancer_, semantics, options);
-      ASSERT_TRUE(records.ok()) << records.status().ToString();
-      ASSERT_EQ(records->size(), n * (n - 1) / 2);
-      probe_oracle::ExpectRecordsMatchOracle(*prober_, *records,
-                                             "combine-two");
-      if (reference.empty()) reference = *records;
-      ExpectRecordsIdentical(*records, reference);
-    }
+    auto records = CombineTwo(w_.prefs_, *w_.engine_, semantics);
+    ASSERT_TRUE(records.ok()) << records.status().ToString();
+    ASSERT_EQ(records->size(), n * (n - 1) / 2);
+    probe_oracle::ExpectRecordsMatchOracle(*prober_, *records, "combine-two");
   }
 
-  std::vector<CombinationRecord> reference;
-  for (const ProbeOptions& options : Configurations()) {
-    SCOPED_TRACE(DescribeOptions(options));
-    auto records = PartiallyCombineAll(w_.prefs_, *w_.enhancer_, options);
-    ASSERT_TRUE(records.ok()) << records.status().ToString();
-    ASSERT_FALSE(records->empty());
-    probe_oracle::ExpectRecordsMatchOracle(*prober_, *records,
-                                           "partially-combine-all");
-    if (reference.empty()) reference = *records;
-    ExpectRecordsIdentical(*records, reference);
-  }
+  auto records = PartiallyCombineAll(w_.prefs_, *w_.engine_);
+  ASSERT_TRUE(records.ok()) << records.status().ToString();
+  ASSERT_FALSE(records->empty());
+  probe_oracle::ExpectRecordsMatchOracle(*prober_, *records,
+                                         "partially-combine-all");
 }
 
 TEST_F(AlgorithmsMatchOracle, PepsMatchesOracleAndExhaustive) {
@@ -472,29 +514,18 @@ TEST_F(AlgorithmsMatchOracle, PepsMatchesOracleAndExhaustive) {
     if (members.size() >= 2) applicable_multi.insert(members);
   }
   for (PepsMode mode : {PepsMode::kComplete, PepsMode::kApproximate}) {
-    std::vector<CombinationRecord> reference;
-    size_t reference_probes = 0;
-    for (const ProbeOptions& options : Configurations()) {
-      SCOPED_TRACE(DescribeOptions(options));
-      Peps peps(&w_.prefs_, w_.enhancer_.get(), options);
-      auto order = peps.GenerateOrder(mode);
-      ASSERT_TRUE(order.ok()) << order.status().ToString();
-      probe_oracle::ExpectRecordsMatchOracle(*prober_, *order, "peps");
-      for (const PairEntry& pair : peps.pairs()) {
-        auto count = probe_oracle::Count(
-            *prober_, combiner_->AndExtend(combiner_->Single(pair.i), pair.j));
-        ASSERT_TRUE(count.ok());
-        EXPECT_EQ(pair.num_tuples, *count) << pair.i << "," << pair.j;
-      }
-      if (mode == PepsMode::kComplete) {
-        EXPECT_EQ(MemberSets(*order), applicable_multi);
-      }
-      if (reference.empty()) {
-        reference = *order;
-        reference_probes = peps.num_expansion_probes();
-      }
-      ExpectRecordsIdentical(*order, reference);
-      EXPECT_EQ(peps.num_expansion_probes(), reference_probes);
+    Peps peps(&w_.prefs_, w_.engine_.get());
+    auto order = peps.GenerateOrder(mode);
+    ASSERT_TRUE(order.ok()) << order.status().ToString();
+    probe_oracle::ExpectRecordsMatchOracle(*prober_, *order, "peps");
+    for (const PairEntry& pair : peps.pairs()) {
+      auto count = probe_oracle::Count(
+          *prober_, combiner_->AndExtend(combiner_->Single(pair.i), pair.j));
+      ASSERT_TRUE(count.ok());
+      EXPECT_EQ(pair.num_tuples, *count) << pair.i << "," << pair.j;
+    }
+    if (mode == PepsMode::kComplete) {
+      EXPECT_EQ(MemberSets(*order), applicable_multi);
     }
   }
 }
@@ -505,7 +536,7 @@ TEST_F(AlgorithmsMatchOracle, PepsTopKRanksEveryTupleByItsBestCombination) {
   // complete mode PEPS sees every applicable combination, so each ranked
   // tuple must carry exactly that intensity, the ranking must be
   // non-increasing, and no unranked tuple may beat the last ranked one.
-  const ProbeEngine& engine = w_.enhancer_->probe_engine();
+  const ProbeEngine& engine = *w_.engine_;
   std::unordered_map<Value, double, reldb::ValueHash> best;
   auto offer = [&](const Combination& combination, double intensity) {
     KeyBitmap bits;
@@ -529,30 +560,24 @@ TEST_F(AlgorithmsMatchOracle, PepsTopKRanksEveryTupleByItsBestCombination) {
 
   constexpr size_t kTopK = 25;
   for (PepsMode mode : {PepsMode::kComplete, PepsMode::kApproximate}) {
-    std::vector<RankedTuple> reference;
-    for (const ProbeOptions& options : Configurations()) {
-      SCOPED_TRACE(DescribeOptions(options));
-      Peps peps(&w_.prefs_, w_.enhancer_.get(), options);
-      auto topk = peps.TopK(kTopK, mode);
-      ASSERT_TRUE(topk.ok()) << topk.status().ToString();
-      ASSERT_EQ(topk->size(), kTopK);
-      if (reference.empty()) reference = *topk;
-      EXPECT_EQ(*topk, reference);
-      if (mode != PepsMode::kComplete) continue;
-      std::set<Value> ranked;
-      for (size_t r = 0; r < topk->size(); ++r) {
-        const RankedTuple& tuple = (*topk)[r];
-        ASSERT_EQ(best.count(tuple.key), 1u) << "rank " << r;
-        EXPECT_EQ(tuple.intensity, best.at(tuple.key)) << "rank " << r;
-        if (r > 0) {
-          EXPECT_LE(tuple.intensity, (*topk)[r - 1].intensity);
-        }
-        ranked.insert(tuple.key);
+    Peps peps(&w_.prefs_, w_.engine_.get());
+    auto topk = peps.TopK(kTopK, mode);
+    ASSERT_TRUE(topk.ok()) << topk.status().ToString();
+    ASSERT_EQ(topk->size(), kTopK);
+    if (mode != PepsMode::kComplete) continue;
+    std::set<Value> ranked;
+    for (size_t r = 0; r < topk->size(); ++r) {
+      const RankedTuple& tuple = (*topk)[r];
+      ASSERT_EQ(best.count(tuple.key), 1u) << "rank " << r;
+      EXPECT_EQ(tuple.intensity, best.at(tuple.key)) << "rank " << r;
+      if (r > 0) {
+        EXPECT_LE(tuple.intensity, (*topk)[r - 1].intensity);
       }
-      for (const auto& [key, intensity] : best) {
-        if (ranked.count(key) == 0) {
-          EXPECT_LE(intensity, topk->back().intensity);
-        }
+      ranked.insert(tuple.key);
+    }
+    for (const auto& [key, intensity] : best) {
+      if (ranked.count(key) == 0) {
+        EXPECT_LE(intensity, topk->back().intensity);
       }
     }
   }
@@ -588,28 +613,24 @@ const std::vector<BiasRandomPin>& BiasRandomPins() {
 TEST(BiasRandomOracle, MatchesPinnedRunsAndOracleCounts) {
   RandomWorkload w(5);
   Combiner combiner(&w.prefs_);
-  CombinationProber prober(&combiner, &w.enhancer_->probe_engine());
+  CombinationProber prober(&combiner, w.engine_.get());
   for (const BiasRandomPin& pin : BiasRandomPins()) {
-    for (const ProbeOptions& options : {ProbeOptions{}, ProbeOptions{1},
-                                        ProbeOptions{3}, ProbeOptions{7}}) {
-      SCOPED_TRACE(testing::Message() << "seed=" << pin.seed << " "
-                                      << DescribeOptions(options));
-      auto run = BiasRandomSelection(w.prefs_, *w.enhancer_, pin.seed, options);
-      ASSERT_TRUE(run.ok()) << run.status().ToString();
-      EXPECT_EQ(run->valid_checks, pin.valid_checks);
-      EXPECT_EQ(run->invalid_checks, pin.invalid_checks);
-      ASSERT_EQ(run->records.size(), pin.records.size());
-      for (size_t r = 0; r < pin.records.size(); ++r) {
-        const CombinationRecord& record = run->records[r];
-        EXPECT_EQ(MembersInOrder(record.combination), pin.records[r].first)
-            << "record " << r;
-        EXPECT_EQ(record.num_tuples, pin.records[r].second) << "record " << r;
-        EXPECT_EQ(record.intensity,
-                  combiner.ComputeIntensity(record.combination));
-      }
-      probe_oracle::ExpectRecordsMatchOracle(prober, run->records,
-                                             "bias-random");
+    SCOPED_TRACE(testing::Message() << "seed=" << pin.seed);
+    auto run = BiasRandomSelection(w.prefs_, *w.engine_, pin.seed);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_EQ(run->valid_checks, pin.valid_checks);
+    EXPECT_EQ(run->invalid_checks, pin.invalid_checks);
+    ASSERT_EQ(run->records.size(), pin.records.size());
+    for (size_t r = 0; r < pin.records.size(); ++r) {
+      const CombinationRecord& record = run->records[r];
+      EXPECT_EQ(MembersInOrder(record.combination), pin.records[r].first)
+          << "record " << r;
+      EXPECT_EQ(record.num_tuples, pin.records[r].second) << "record " << r;
+      EXPECT_EQ(record.intensity,
+                combiner.ComputeIntensity(record.combination));
     }
+    probe_oracle::ExpectRecordsMatchOracle(prober, run->records,
+                                           "bias-random");
   }
 }
 

@@ -59,43 +59,26 @@ std::string Digest(const EnumerationResult& result) {
 }
 
 EnumerationRequest MakeRequest(const std::string& algorithm,
-                               const std::vector<core::PreferenceAtom>& prefs,
-                               const core::ProbeOptions& options =
-                                   core::ProbeOptions()) {
+                               const std::vector<core::PreferenceAtom>& prefs) {
   EnumerationRequest request;
   request.algorithm = algorithm;
   request.base_query = MiniBaseQuery();
   request.key_column = "dblp.pid";
   request.preferences = prefs;
-  request.probe_options = options;
   return request;
 }
 
 /// The request mix every differential test drives: combination enumerators
-/// and rankers over default shards (wider than the mini universe) and
-/// narrow ones of 2, 3 and 7 words.
+/// and rankers.
 std::vector<EnumerationRequest> RequestMix(
     const std::vector<core::PreferenceAtom>& prefs) {
   std::vector<EnumerationRequest> requests;
   requests.push_back(MakeRequest("exhaustive", prefs));
-  {
-    core::ProbeOptions narrow_shards;
-    narrow_shards.shard_words = 2;
-    requests.push_back(MakeRequest("combine-two", prefs, narrow_shards));
-  }
-  {
-    core::ProbeOptions odd_shards;
-    odd_shards.shard_words = 3;
-    requests.push_back(MakeRequest("partially-combine-all", prefs,
-                                   odd_shards));
-  }
-  {
-    core::ProbeOptions wide_shards;
-    wide_shards.shard_words = 7;
-    EnumerationRequest peps = MakeRequest("peps", prefs, wide_shards);
-    peps.k = SIZE_MAX;
-    requests.push_back(std::move(peps));
-  }
+  requests.push_back(MakeRequest("combine-two", prefs));
+  requests.push_back(MakeRequest("partially-combine-all", prefs));
+  EnumerationRequest peps = MakeRequest("peps", prefs);
+  peps.k = SIZE_MAX;
+  requests.push_back(std::move(peps));
   requests.push_back(MakeRequest("ta", prefs));
   return requests;
 }
@@ -246,13 +229,8 @@ TEST(ConcurrentSession, FirstTouchBuildsExactlyOneEngine) {
   std::atomic<size_t> mismatches{0};
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      // Half the threads ask for one-word shards, so requests of both
-      // shapes race engine creation.
-      core::ProbeOptions options;
-      if (t % 2 == 1) options.shard_words = 1;
-      auto result =
-          session.Enumerate(MakeRequest("exhaustive", prefs, options));
+    threads.emplace_back([&] {
+      auto result = session.Enumerate(MakeRequest("exhaustive", prefs));
       if (!result.ok() || Digest(*result) != baseline) {
         mismatches.fetch_add(1);
       }
@@ -281,9 +259,9 @@ TEST(ConcurrentSession, RefreshDefersWhileReaderPinned) {
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     baseline = Digest(*result);
   }
-  auto enhancer = session.GetEnhancer(MiniBaseQuery(), "dblp.pid");
-  ASSERT_TRUE(enhancer.ok());
-  const core::ProbeEngine& engine = (*enhancer)->probe_engine();
+  auto cached = session.GetEngine(MiniBaseQuery(), "dblp.pid");
+  ASSERT_TRUE(cached.ok());
+  const core::ProbeEngine& engine = **cached;
   const uint64_t epoch_before = engine.epoch();
 
   // A record sink that parks the enumeration mid-run (on the request
@@ -371,9 +349,9 @@ TEST(ConcurrentSession, PureReadersSkipRefreshAndPinLiveEpoch) {
   auto warm = session.Enumerate(request);
   ASSERT_TRUE(warm.ok());
 
-  auto enhancer = session.GetEnhancer(MiniBaseQuery(), "dblp.pid");
-  ASSERT_TRUE(enhancer.ok());
-  const uint64_t epoch = (*enhancer)->probe_engine().epoch();
+  auto engine = session.GetEngine(MiniBaseQuery(), "dblp.pid");
+  ASSERT_TRUE(engine.ok());
+  const uint64_t epoch = (*engine)->epoch();
 
   // Mutate, but enumerate with refresh=false: a pure reader must not drain
   // the journal — same epoch, pre-mutation results.

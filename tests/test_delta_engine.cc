@@ -38,14 +38,7 @@ using testing_fixtures::MiniPreferences;
 // start at 220 keys (4 words) and grow past it: 1 cuts whole shards, 3
 // (and 4, once the universe grows) leave a short tail shard, 7 and 1 << 20
 // are wider than the bitmap.
-std::vector<ProbeOptions> OptionMatrix() {
-  std::vector<ProbeOptions> matrix;
-  for (size_t shard_words : {size_t{1}, size_t{3}, size_t{4}, size_t{7},
-                             size_t{1} << 20}) {
-    matrix.push_back(ProbeOptions{shard_words});
-  }
-  return matrix;
-}
+std::vector<size_t> OptionMatrix() { return {1, 3, 4, 7, size_t{1} << 20}; }
 
 // --- reldb layer ----------------------------------------------------------
 
@@ -645,10 +638,14 @@ TEST(DeltaEngine, RandomizedMutationDifferential) {
           probe_oracle::PairCounts(fresh_prober, combiner, pairs);
       KeyBitmap ext_base_bits;
       ASSERT_TRUE(prober.BitsInto(ext_base, &ext_base_bits).ok());
-      for (const ProbeOptions& options : OptionMatrix()) {
-        SCOPED_TRACE(testing::Message()
-                     << "shard_words=" << options.shard_words);
-        BatchProber batch(&prober, options);
+      // The long-lived prober counts from bitmaps it revalidated against
+      // the new epoch; the per-width probers materialize theirs afresh.
+      auto revalidated_counts = prober.CountBatch(frontier);
+      ASSERT_TRUE(revalidated_counts.ok());
+      EXPECT_EQ(*revalidated_counts, expected_counts);
+      for (size_t shard_words : OptionMatrix()) {
+        SCOPED_TRACE(testing::Message() << "shard_words=" << shard_words);
+        CombinationProber batch(&combiner, &engine, shard_words);
         auto counts = batch.CountBatch(frontier);
         ASSERT_TRUE(counts.ok()) << counts.status().ToString();
         EXPECT_EQ(*counts, expected_counts);
@@ -742,17 +739,17 @@ TEST(DeltaEngine, MergedKeyOrderMatchesFullSort) {
 
 TEST(DeltaEngine, PepsTopKAfterRefreshMatchesFreshEngine) {
   MutatingWorkload w(7);
-  QueryEnhancer enhancer(&w.db_, w.base_, "p.pid");
-  Peps warm(&w.prefs_, &enhancer);
+  ProbeEngine engine(&w.db_, w.base_, "p.pid");
+  Peps warm(&w.prefs_, &engine);
   auto before = warm.TopK(10, PepsMode::kComplete);
   ASSERT_TRUE(before.ok()) << before.status().ToString();
 
   for (int round = 0; round < 3; ++round) w.Mutate();
-  ASSERT_TRUE(enhancer.Refresh().ok());
+  ASSERT_TRUE(engine.Refresh().ok());
 
-  QueryEnhancer fresh_enhancer(&w.db_, w.base_, "p.pid");
-  Peps refreshed(&w.prefs_, &enhancer);
-  Peps fresh(&w.prefs_, &fresh_enhancer);
+  ProbeEngine fresh_engine(&w.db_, w.base_, "p.pid");
+  Peps refreshed(&w.prefs_, &engine);
+  Peps fresh(&w.prefs_, &fresh_engine);
   auto got = refreshed.TopK(10, PepsMode::kComplete);
   auto want = fresh.TopK(10, PepsMode::kComplete);
   ASSERT_TRUE(got.ok()) << got.status().ToString();

@@ -8,7 +8,7 @@
 #include "graphdb/cypher_lite.h"
 #include "graphdb/traversal.h"
 #include "hypre/persistence.h"
-#include "hypre/query_enhancement.h"
+#include "hypre/probe_engine.h"
 #include "reldb/executor.h"
 #include "sqlparse/parser.h"
 #include "workload/dblp_generator.h"
@@ -111,7 +111,7 @@ TEST(ExecutorEdge, LimitLargerThanResult) {
   EXPECT_EQ(r->rows.size(), 1u);
 }
 
-// --- enhancer: empty-result predicates and NOT over the universe ---------------
+// --- engine: empty-result predicates and NOT over the universe ---------------
 
 TEST(EnhancerEdge, NotOverEverythingIsEmpty) {
   reldb::Database db;
@@ -125,16 +125,16 @@ TEST(EnhancerEdge, NotOverEverythingIsEmpty) {
   reldb::Query base;
   base.from = "dblp";
   base.joins.push_back({"dblp_author", "dblp.pid", "pid"});
-  core::QueryEnhancer enhancer(&db, base, "dblp.pid");
+  core::ProbeEngine engine(&db, base, "dblp.pid");
 
   auto all = sqlparse::ParsePredicate("dblp.pid>=0");
   ASSERT_TRUE(all.ok());
-  auto count_all = enhancer.CountMatching(*all);
+  auto count_all = engine.CountMatching(*all);
   ASSERT_TRUE(count_all.ok());
   EXPECT_GT(count_all.value(), 0u);
   auto none = sqlparse::ParsePredicate("NOT dblp.pid>=0");
   ASSERT_TRUE(none.ok());
-  auto count_none = enhancer.CountMatching(*none);
+  auto count_none = engine.CountMatching(*none);
   ASSERT_TRUE(count_none.ok());
   EXPECT_EQ(count_none.value(), 0u);
 }

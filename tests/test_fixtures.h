@@ -18,7 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "hypre/preference.h"
-#include "hypre/query_enhancement.h"
+#include "hypre/probe_engine.h"
 #include "reldb/database.h"
 
 namespace hypre {

@@ -118,7 +118,7 @@ TEST_F(IntegrationTest, QualitativeInsertionGrowsQuantitativeCount) {
 
 TEST_F(IntegrationTest, HybridCoverageAtLeastQuantitative) {
   // Figure 28: HYPRE coverage >= quantitative-only coverage.
-  QueryEnhancer enhancer(db_, BaseQuery(), "dblp.pid");
+  ProbeEngine engine(db_, BaseQuery(), "dblp.pid");
   HypreGraph quant_only = BuildGraph(false);
   HypreGraph full = BuildGraph(true);
 
@@ -131,8 +131,8 @@ TEST_F(IntegrationTest, HybridCoverageAtLeastQuantitative) {
     }
     return out;
   };
-  auto cov_quant = Coverage(enhancer, predicates_of(quant_only));
-  auto cov_full = Coverage(enhancer, predicates_of(full));
+  auto cov_quant = Coverage(engine, predicates_of(quant_only));
+  auto cov_full = Coverage(engine, predicates_of(full));
   ASSERT_TRUE(cov_quant.ok());
   ASSERT_TRUE(cov_full.ok());
   EXPECT_GE(cov_full.value(), cov_quant.value());
@@ -145,12 +145,11 @@ TEST_F(IntegrationTest, PepsMatchesTaOnQuantitativeOnlyInput) {
   HypreGraph graph = BuildGraph(false);
   std::vector<PreferenceAtom> atoms = AtomsFromGraph(graph);
   ASSERT_FALSE(atoms.empty());
-  QueryEnhancer enhancer(db_, BaseQuery(), "dblp.pid");
+  ProbeEngine engine(db_, BaseQuery(), "dblp.pid");
 
   // Ground truth by brute force == what TA computes over per-attribute
   // lists (test_threshold_algorithm verifies TA == brute force separately;
   // here we build TA's lists from the same preferences).
-  const ProbeEngine& engine = enhancer.probe_engine();
   GradedList venue_list("venue");
   GradedList author_list("author");
   for (const auto& atom : atoms) {
@@ -172,7 +171,7 @@ TEST_F(IntegrationTest, PepsMatchesTaOnQuantitativeOnlyInput) {
   auto ta = ThresholdAlgorithmTopK(engine, {venue_list, author_list}, kK);
   ASSERT_TRUE(ta.ok());
 
-  Peps peps(&atoms, &enhancer);
+  Peps peps(&atoms, &engine);
   auto peps_top = peps.TopK(kK, PepsMode::kComplete);
   ASSERT_TRUE(peps_top.ok()) << peps_top.status().ToString();
 
@@ -208,13 +207,13 @@ TEST_F(IntegrationTest, HybridPepsReachesHigherIntensitiesThanTa) {
   std::vector<PreferenceAtom> quant_atoms = AtomsFromGraph(quant_only);
   ASSERT_GE(full_atoms.size(), quant_atoms.size());
 
-  QueryEnhancer enhancer(db_, BaseQuery(), "dblp.pid");
+  ProbeEngine engine(db_, BaseQuery(), "dblp.pid");
   constexpr size_t kK = 25;
 
-  Peps peps_full(&full_atoms, &enhancer);
+  Peps peps_full(&full_atoms, &engine);
   auto top_full = peps_full.TopK(kK, PepsMode::kComplete);
   ASSERT_TRUE(top_full.ok());
-  Peps peps_quant(&quant_atoms, &enhancer);
+  Peps peps_quant(&quant_atoms, &engine);
   auto top_quant = peps_quant.TopK(kK, PepsMode::kComplete);
   ASSERT_TRUE(top_quant.ok());
 
@@ -227,9 +226,9 @@ TEST_F(IntegrationTest, HybridPepsReachesHigherIntensitiesThanTa) {
 TEST_F(IntegrationTest, ApproximatePepsTopIntensityCloseToComplete) {
   HypreGraph full = BuildGraph(true);
   std::vector<PreferenceAtom> atoms = AtomsFromGraph(full);
-  QueryEnhancer enhancer(db_, BaseQuery(), "dblp.pid");
-  Peps complete(&atoms, &enhancer);
-  Peps approx(&atoms, &enhancer);
+  ProbeEngine engine(db_, BaseQuery(), "dblp.pid");
+  Peps complete(&atoms, &engine);
+  Peps approx(&atoms, &engine);
   auto top_c = complete.TopK(10, PepsMode::kComplete);
   auto top_a = approx.TopK(10, PepsMode::kApproximate);
   ASSERT_TRUE(top_c.ok());

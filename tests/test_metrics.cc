@@ -47,19 +47,19 @@ TEST(MetricsTest, CoverageUnionsDistinctTuples) {
   ASSERT_TRUE(workload::BuildDblpSampleDatabase(&db).ok());
   reldb::Query base;
   base.from = "dblp";
-  QueryEnhancer enhancer(&db, base, "dblp.pid");
+  ProbeEngine engine(&db, base, "dblp.pid");
   // VLDB (2) + PVLDB (3) overlap-free = 5; adding year>=2010 (4: t3 t4 t6
   // t8) overlaps t3, t4 -> 7 distinct.
-  auto c1 = Coverage(enhancer, {Parse("dblp.venue='VLDB'"),
-                                Parse("dblp.venue='PVLDB'")});
+  auto c1 = Coverage(engine, {Parse("dblp.venue='VLDB'"),
+                              Parse("dblp.venue='PVLDB'")});
   ASSERT_TRUE(c1.ok());
   EXPECT_EQ(c1.value(), 5u);
-  auto c2 = Coverage(enhancer, {Parse("dblp.venue='VLDB'"),
-                                Parse("dblp.venue='PVLDB'"),
-                                Parse("year>=2010")});
+  auto c2 = Coverage(engine, {Parse("dblp.venue='VLDB'"),
+                              Parse("dblp.venue='PVLDB'"),
+                              Parse("year>=2010")});
   ASSERT_TRUE(c2.ok());
   EXPECT_EQ(c2.value(), 7u);
-  auto empty = Coverage(enhancer, {});
+  auto empty = Coverage(engine, {});
   ASSERT_TRUE(empty.ok());
   EXPECT_EQ(empty.value(), 0u);
 }

@@ -163,22 +163,23 @@ TEST_F(ProbeEngineTest, CanonicalizedPredicatesShareCacheEntries) {
   ASSERT_TRUE(
       engine.CountMatching(Parse("dblp.venue='V1' AND dblp_author.aid=1"))
           .ok());
-  size_t leaves_after_first = engine.num_leaf_queries();
+  size_t leaves_after_first = engine.stats().num_leaf_queries;
   EXPECT_EQ(leaves_after_first, 2u);  // one probe per distinct leaf
 
   // Swapped conjunct order: count cache hit, no new leaf probes.
   auto swapped =
       engine.CountMatching(Parse("dblp_author.aid=1 AND dblp.venue='V1'"));
   ASSERT_TRUE(swapped.ok());
-  EXPECT_EQ(engine.num_leaf_queries(), leaves_after_first);
-  EXPECT_EQ(engine.num_cache_hits(), 1u);
+  EXPECT_EQ(engine.stats().num_leaf_queries, leaves_after_first);
+  EXPECT_EQ(engine.stats().num_cache_hits, 1u);
 
   // A mirrored leaf (`1 = aid`) reuses the cached leaf bitmap even inside a
   // structurally new tree.
   auto mirrored =
       engine.CountMatching(Parse("dblp.venue='V2' OR 1=dblp_author.aid"));
   ASSERT_TRUE(mirrored.ok());
-  EXPECT_EQ(engine.num_leaf_queries(), leaves_after_first + 1);  // only 'V2'
+  // Only 'V2' is a new leaf.
+  EXPECT_EQ(engine.stats().num_leaf_queries, leaves_after_first + 1);
 }
 
 TEST_F(ProbeEngineTest, BitmapHandlesComposeLikeKeySets) {
@@ -200,8 +201,8 @@ TEST_F(ProbeEngineTest, BitmapHandlesComposeLikeKeySets) {
 
 // --- Randomized differential sweep ---------------------------------------
 //
-// Reference implementation: the legacy unordered_set evaluation that
-// QueryEnhancer used before the bitmap engine (leaf probes through
+// Reference implementation: the legacy unordered_set evaluation the probe
+// layer used before the bitmap engine (leaf probes through
 // DistinctValues, hash-set intersection/union/complement).
 class HashSetReference {
  public:

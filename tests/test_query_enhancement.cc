@@ -1,7 +1,8 @@
-// QueryEnhancer tests: WHERE splicing, counting, key collection, caching.
+// Query enhancement (§4.6) on ProbeEngine: WHERE splicing, counting, key
+// collection, caching, and group-level matching semantics.
 #include <gtest/gtest.h>
 
-#include "hypre/query_enhancement.h"
+#include "hypre/probe_engine.h"
 #include "sqlparse/parser.h"
 #include "workload/canonical.h"
 
@@ -15,7 +16,7 @@ reldb::ExprPtr Parse(const std::string& text) {
   return r.ok() ? r.value() : nullptr;
 }
 
-class QueryEnhancerTest : public ::testing::Test {
+class QueryEnhancementTest : public ::testing::Test {
  protected:
   void SetUp() override {
     ASSERT_TRUE(workload::BuildDblpSampleDatabase(&db_).ok());
@@ -25,61 +26,61 @@ class QueryEnhancerTest : public ::testing::Test {
   reldb::Query base_;
 };
 
-TEST_F(QueryEnhancerTest, EnhanceSetsWhere) {
-  QueryEnhancer enhancer(&db_, base_, "dblp.pid");
-  reldb::Query q = enhancer.Enhance(Parse("dblp.venue='VLDB'"));
+TEST_F(QueryEnhancementTest, EnhanceSetsWhere) {
+  ProbeEngine engine(&db_, base_, "dblp.pid");
+  reldb::Query q = engine.Enhance(Parse("dblp.venue='VLDB'"));
   ASSERT_NE(q.where, nullptr);
   EXPECT_EQ(q.where->ToString(), "dblp.venue='VLDB'");
   EXPECT_EQ(q.ToSql(), "SELECT * FROM dblp WHERE dblp.venue='VLDB'");
 }
 
-TEST_F(QueryEnhancerTest, EnhancePreservesHardConstraints) {
+TEST_F(QueryEnhancementTest, EnhancePreservesHardConstraints) {
   // Base WHERE is a hard constraint; the preference is ANDed on top.
   base_.where = Parse("year>=2008");
-  QueryEnhancer enhancer(&db_, base_, "dblp.pid");
-  reldb::Query q = enhancer.Enhance(Parse("dblp.venue='PVLDB'"));
+  ProbeEngine engine(&db_, base_, "dblp.pid");
+  reldb::Query q = engine.Enhance(Parse("dblp.venue='PVLDB'"));
   EXPECT_EQ(q.where->ToString(), "year>=2008 AND dblp.venue='PVLDB'");
-  auto count = enhancer.CountMatching(Parse("dblp.venue='PVLDB'"));
+  auto count = engine.CountMatching(Parse("dblp.venue='PVLDB'"));
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(count.value(), 3u);  // t3, t4, t5 all >= 2008
 }
 
-TEST_F(QueryEnhancerTest, NullPredicateLeavesBaseQuery) {
-  QueryEnhancer enhancer(&db_, base_, "dblp.pid");
-  reldb::Query q = enhancer.Enhance(nullptr);
+TEST_F(QueryEnhancementTest, NullPredicateLeavesBaseQuery) {
+  ProbeEngine engine(&db_, base_, "dblp.pid");
+  reldb::Query q = engine.Enhance(nullptr);
   EXPECT_EQ(q.where, nullptr);
-  auto count = enhancer.CountMatching(nullptr);
+  auto count = engine.CountMatching(nullptr);
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(count.value(), 9u);
 }
 
-TEST_F(QueryEnhancerTest, CountAndKeys) {
-  QueryEnhancer enhancer(&db_, base_, "dblp.pid");
-  auto count = enhancer.CountMatching(Parse("dblp.venue='SIGMOD'"));
+TEST_F(QueryEnhancementTest, CountAndKeys) {
+  ProbeEngine engine(&db_, base_, "dblp.pid");
+  auto count = engine.CountMatching(Parse("dblp.venue='SIGMOD'"));
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(count.value(), 2u);
-  auto keys = enhancer.MatchingKeys(Parse("dblp.venue='SIGMOD'"));
+  auto keys = engine.MatchingKeys(Parse("dblp.venue='SIGMOD'"));
   ASSERT_TRUE(keys.ok());
   ASSERT_EQ(keys->size(), 2u);
 }
 
-TEST_F(QueryEnhancerTest, CountCacheHitsOnRepeat) {
-  QueryEnhancer enhancer(&db_, base_, "dblp.pid");
+TEST_F(QueryEnhancementTest, CountCacheHitsOnRepeat) {
+  ProbeEngine engine(&db_, base_, "dblp.pid");
   reldb::ExprPtr p = Parse("dblp.venue='VLDB'");
-  ASSERT_TRUE(enhancer.CountMatching(p).ok());
-  EXPECT_EQ(enhancer.stats().num_leaf_queries, 1u);
-  EXPECT_EQ(enhancer.stats().num_cache_hits, 0u);
-  ASSERT_TRUE(enhancer.CountMatching(p).ok());
-  EXPECT_EQ(enhancer.stats().num_leaf_queries, 1u);
-  EXPECT_EQ(enhancer.stats().num_cache_hits, 1u);
+  ASSERT_TRUE(engine.CountMatching(p).ok());
+  EXPECT_EQ(engine.stats().num_leaf_queries, 1u);
+  EXPECT_EQ(engine.stats().num_cache_hits, 0u);
+  ASSERT_TRUE(engine.CountMatching(p).ok());
+  EXPECT_EQ(engine.stats().num_leaf_queries, 1u);
+  EXPECT_EQ(engine.stats().num_cache_hits, 1u);
   // A structurally identical but distinct AST also hits (keyed by SQL text).
-  ASSERT_TRUE(enhancer.CountMatching(Parse("dblp.venue='VLDB'")).ok());
-  EXPECT_EQ(enhancer.stats().num_leaf_queries, 1u);
+  ASSERT_TRUE(engine.CountMatching(Parse("dblp.venue='VLDB'")).ok());
+  EXPECT_EQ(engine.stats().num_leaf_queries, 1u);
 }
 
-TEST_F(QueryEnhancerTest, GroupLevelSemanticsOnJoinedAuthors) {
+TEST_F(QueryEnhancementTest, GroupLevelSemanticsOnJoinedAuthors) {
   // Two author predicates ANDed must mean "papers having BOTH authors"
-  // (see the header comment): impossible per joined row, intended per key.
+  // (see probe_engine.h): impossible per joined row, intended per key.
   reldb::Database db;
   {
     using reldb::Row;
@@ -106,39 +107,39 @@ TEST_F(QueryEnhancerTest, GroupLevelSemanticsOnJoinedAuthors) {
   reldb::Query base;
   base.from = "dblp";
   base.joins.push_back({"dblp_author", "dblp.pid", "pid"});
-  QueryEnhancer enhancer(&db, base, "dblp.pid");
+  ProbeEngine engine(&db, base, "dblp.pid");
 
-  auto both = enhancer.CountMatching(
+  auto both = engine.CountMatching(
       Parse("dblp_author.aid=1 AND dblp_author.aid=2"));
   ASSERT_TRUE(both.ok());
   EXPECT_EQ(both.value(), 1u);  // only paper 1 has both authors
-  auto either = enhancer.CountMatching(
+  auto either = engine.CountMatching(
       Parse("dblp_author.aid=1 OR dblp_author.aid=2"));
   ASSERT_TRUE(either.ok());
   EXPECT_EQ(either.value(), 2u);
   // NOT complements against the key universe.
-  auto not_a2 = enhancer.CountMatching(Parse("NOT dblp_author.aid=2"));
+  auto not_a2 = engine.CountMatching(Parse("NOT dblp_author.aid=2"));
   ASSERT_TRUE(not_a2.ok());
   EXPECT_EQ(not_a2.value(), 1u);  // paper 2
 }
 
-TEST_F(QueryEnhancerTest, StarvationAndFloodingIllustration) {
+TEST_F(QueryEnhancementTest, StarvationAndFloodingIllustration) {
   // §4.6: ANDing two venue predicates starves (0 tuples); ORing them does
   // not.
-  QueryEnhancer enhancer(&db_, base_, "dblp.pid");
-  auto starved = enhancer.CountMatching(
+  ProbeEngine engine(&db_, base_, "dblp.pid");
+  auto starved = engine.CountMatching(
       Parse("dblp.venue='VLDB' AND dblp.venue='SIGMOD'"));
   ASSERT_TRUE(starved.ok());
   EXPECT_EQ(starved.value(), 0u);
-  auto ored = enhancer.CountMatching(
+  auto ored = engine.CountMatching(
       Parse("dblp.venue='VLDB' OR dblp.venue='SIGMOD'"));
   ASSERT_TRUE(ored.ok());
   EXPECT_EQ(ored.value(), 4u);
 }
 
-TEST_F(QueryEnhancerTest, InvalidPredicateSurfacesError) {
-  QueryEnhancer enhancer(&db_, base_, "dblp.pid");
-  EXPECT_FALSE(enhancer.CountMatching(Parse("nosuch.column=1")).ok());
+TEST_F(QueryEnhancementTest, InvalidPredicateSurfacesError) {
+  ProbeEngine engine(&db_, base_, "dblp.pid");
+  EXPECT_FALSE(engine.CountMatching(Parse("nosuch.column=1")).ok());
 }
 
 }  // namespace

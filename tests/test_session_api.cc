@@ -2,8 +2,8 @@
 //
 // The load-bearing guarantee: dispatching an algorithm BY NAME through
 // Session::Enumerate produces byte-identical records/tuples to calling the
-// algorithm's direct entry point on an equivalent enhancer — for all six
-// algorithms, across shard widths. On top of that: probe
+// algorithm's direct entry point on an equivalent engine — for all six
+// algorithms, on a cold and on a warm session engine. On top of that: probe
 // budgets truncate deterministically (a budgeted stream is a prefix of the
 // unbudgeted one), streaming sinks see exactly the collected output,
 // unknown names fail cleanly, the session's engine cache makes repeat
@@ -73,15 +73,12 @@ class SessionApiTest : public ::testing::Test {
     prefs_ = MiniPreferences();
   }
 
-  EnumerationRequest MakeRequest(const std::string& algorithm,
-                                 const core::ProbeOptions& options =
-                                     core::ProbeOptions{}) const {
+  EnumerationRequest MakeRequest(const std::string& algorithm) const {
     EnumerationRequest request;
     request.algorithm = algorithm;
     request.base_query = MiniBaseQuery();
     request.key_column = "dblp.pid";
     request.preferences = prefs_;
-    request.probe_options = options;
     return request;
   }
 
@@ -99,43 +96,39 @@ class SessionApiTest : public ::testing::Test {
 // --- The differential: Session output == direct entry-point output --------
 
 TEST_F(SessionApiTest, ByteIdenticalToDirectCallsAllSixAlgorithms) {
-  // The mini DBLP universe is one word: 1 is an exact fit, 3, 7 and the
-  // 512-word default are wider than the bitmap.
-  for (size_t shard_words : {size_t{512}, size_t{1}, size_t{3}, size_t{7}}) {
-    core::ProbeOptions options;
-    options.shard_words = shard_words;
-    std::string label = "shard_words=" + std::to_string(shard_words);
-    // A fresh direct enhancer per configuration; the session keeps
-    // reusing ITS cached engine across all configurations, which is
-    // exactly the sharing the equality must survive.
-    core::QueryEnhancer direct(&db_, MiniBaseQuery(), "dblp.pid");
+  // Round 0 runs on a cold session engine, round 1 on the warm one.
+  for (int round = 0; round < 2; ++round) {
+    std::string label = "round=" + std::to_string(round);
+    // A fresh direct engine per round; the session keeps reusing ITS
+    // cached engine across rounds, which is exactly the sharing the
+    // equality must survive.
+    core::ProbeEngine direct(&db_, MiniBaseQuery(), "dblp.pid");
 
     ExpectRecordsEqual(
-        Enumerate(MakeRequest("exhaustive", options)).records,
-        *core::ExhaustiveAndCombinations(prefs_, direct, 20, options),
+        Enumerate(MakeRequest("exhaustive")).records,
+        *core::ExhaustiveAndCombinations(prefs_, direct, 20),
         "exhaustive " + label);
 
     for (core::CombineSemantics semantics :
          {core::CombineSemantics::kAnd, core::CombineSemantics::kAndOr}) {
-      EnumerationRequest request = MakeRequest("combine-two", options);
+      EnumerationRequest request = MakeRequest("combine-two");
       request.semantics = semantics;
       ExpectRecordsEqual(
           Enumerate(request).records,
-          *core::CombineTwo(prefs_, direct, semantics, options),
+          *core::CombineTwo(prefs_, direct, semantics),
           "combine-two " + label);
     }
 
     ExpectRecordsEqual(
-        Enumerate(MakeRequest("partially-combine-all", options)).records,
-        *core::PartiallyCombineAll(prefs_, direct, options),
+        Enumerate(MakeRequest("partially-combine-all")).records,
+        *core::PartiallyCombineAll(prefs_, direct),
         "partially-combine-all " + label);
 
     {
-      EnumerationRequest request = MakeRequest("bias-random", options);
+      EnumerationRequest request = MakeRequest("bias-random");
       request.seed = 7;
       EnumerationResult result = Enumerate(request);
-      auto direct_run =
-          core::BiasRandomSelection(prefs_, direct, 7, options);
+      auto direct_run = core::BiasRandomSelection(prefs_, direct, 7);
       ASSERT_TRUE(direct_run.ok());
       ExpectRecordsEqual(result.records, direct_run->records,
                          "bias-random " + label);
@@ -146,29 +139,28 @@ TEST_F(SessionApiTest, ByteIdenticalToDirectCallsAllSixAlgorithms) {
 
     for (core::PepsMode mode :
          {core::PepsMode::kComplete, core::PepsMode::kApproximate}) {
-      EnumerationRequest request = MakeRequest("peps", options);
+      EnumerationRequest request = MakeRequest("peps");
       request.mode = mode;
-      core::Peps peps(&prefs_, &direct, options);
+      core::Peps peps(&prefs_, &direct);
       ExpectRecordsEqual(Enumerate(request).records,
                          *peps.GenerateOrder(mode), "peps order " + label);
 
       request.k = 6;
-      core::Peps peps_topk(&prefs_, &direct, options);
+      core::Peps peps_topk(&prefs_, &direct);
       ExpectTuplesEqual(Enumerate(request).top_k,
                         *peps_topk.TopK(6, mode), "peps topk " + label);
     }
 
     {
-      EnumerationRequest request = MakeRequest("ta", options);
+      EnumerationRequest request = MakeRequest("ta");
       request.k = 3;
-      const core::ProbeEngine& engine = direct.probe_engine();
-      auto lists = core::BuildGradedLists(engine, prefs_);
+      auto lists = core::BuildGradedLists(direct, prefs_);
       ASSERT_TRUE(lists.ok());
-      auto oracle = core::ta_oracle::BuildGradedLists(engine, prefs_);
+      auto oracle = core::ta_oracle::BuildGradedLists(direct, prefs_);
       ASSERT_TRUE(oracle.ok());
       EnumerationResult top3 = Enumerate(request);
       ExpectTuplesEqual(top3.top_k,
-                        *core::ThresholdAlgorithmTopK(engine, *lists, 3),
+                        *core::ThresholdAlgorithmTopK(direct, *lists, 3),
                         "ta k=3 " + label);
       ExpectTuplesEqual(top3.top_k,
                         *core::ta_oracle::ThresholdAlgorithmTopK(*oracle, 3),
@@ -176,7 +168,7 @@ TEST_F(SessionApiTest, ByteIdenticalToDirectCallsAllSixAlgorithms) {
       request.k = 0;
       EnumerationResult all = Enumerate(request);
       ExpectTuplesEqual(all.top_k,
-                        *core::ThresholdAlgorithmTopK(engine, *lists, 0),
+                        *core::ThresholdAlgorithmTopK(direct, *lists, 0),
                         "ta k=0 " + label);
       ExpectTuplesEqual(all.top_k,
                         *core::ta_oracle::ThresholdAlgorithmTopK(*oracle, 0),
@@ -287,9 +279,8 @@ TEST_F(SessionApiTest, BudgetCapsTaSortedAccessDepth) {
   EXPECT_TRUE(capped.truncated);
   EXPECT_LT(capped.top_k.size(), full.top_k.size());
   // The capped ranking is exactly the oracle's after one round.
-  core::QueryEnhancer direct(&db_, MiniBaseQuery(), "dblp.pid");
-  auto oracle = core::ta_oracle::BuildGradedLists(direct.probe_engine(),
-                                                  prefs_);
+  core::ProbeEngine direct(&db_, MiniBaseQuery(), "dblp.pid");
+  auto oracle = core::ta_oracle::BuildGradedLists(direct, prefs_);
   ASSERT_TRUE(oracle.ok());
   size_t oracle_rounds = 0;
   bool oracle_capped = false;
@@ -459,8 +450,8 @@ TEST_F(SessionApiTest, RefreshPinsEpochAfterMutations) {
 
   // The refreshed session answers match a from-scratch engine on the
   // mutated database.
-  core::QueryEnhancer fresh(&db_, MiniBaseQuery(), "dblp.pid");
-  core::Peps peps(&prefs_, &fresh, core::ProbeOptions{});
+  core::ProbeEngine fresh(&db_, MiniBaseQuery(), "dblp.pid");
+  core::Peps peps(&prefs_, &fresh);
   ExpectRecordsEqual(after.records,
                      *peps.GenerateOrder(core::PepsMode::kComplete),
                      "post-mutation peps order");
