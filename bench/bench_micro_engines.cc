@@ -536,6 +536,47 @@ void BM_PepsOrderWarmSession(benchmark::State& state) {
 }
 BENCHMARK(BM_PepsOrderWarmSession)->Unit(benchmark::kMicrosecond);
 
+void BM_PepsTopKWarmSession(benchmark::State& state) {
+  // Warm PEPS top-10 through Session with a serving-shaped profile: 20
+  // atoms drawn (fixed seed) from a 64-leaf pool of the 24 most popular
+  // venues and the most productive author of each of the 40 communities,
+  // at distinct intensities. The pair table, the DFS and the Top-K record
+  // walk all run; no record is returned, so none is built.
+  DeltaBench* b = GetDeltaBench();
+  std::vector<std::string> pool;
+  for (size_t v = 0; v < 24; ++v) {
+    pool.push_back("dblp.venue='" + workload::VenueName(v) + "'");
+  }
+  for (int aid = 0; aid < 40; ++aid) {
+    pool.push_back("dblp_author.aid=" + std::to_string(aid));
+  }
+  Rng rng(20);
+  api::EnumerationRequest request;
+  request.algorithm = "peps";
+  request.base_query = b->base;
+  request.key_column = "dblp.pid";
+  request.k = 10;
+  for (size_t i = 0; i < 20; ++i) {
+    size_t pick = i + rng.NextBounded(pool.size() - i);
+    std::swap(pool[i], pool[pick]);
+    request.preferences.push_back(Unwrap(
+        core::MakeAtom(pool[i], 0.95 - 0.04 * static_cast<double>(i))));
+  }
+  if (!b->session->Enumerate(request).ok()) {
+    state.SkipWithError("session warmup failed");
+    return;
+  }
+  for (auto _ : state) {
+    auto result = b->session->Enumerate(request);
+    if (!result.ok()) {
+      state.SkipWithError("session Enumerate failed");
+      return;
+    }
+    benchmark::DoNotOptimize(result->top_k.size());
+  }
+}
+BENCHMARK(BM_PepsTopKWarmSession)->Unit(benchmark::kMicrosecond);
+
 void BM_TaTopKWarmSession(benchmark::State& state) {
   // Warm TA top-10 over the same 24 atoms: the venue and author graded
   // lists are rebuilt from the cached leaf bitmaps on every request.

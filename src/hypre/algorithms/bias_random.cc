@@ -105,10 +105,10 @@ Result<BiasRandomResult> BiasRandomSelection(
       size_t chain_count = ext_counts[second];
       if (!consult(chain_count)) continue;  // try another second (Step 4)
       Combination chain = combiner.AndExtend(combiner.Single(first), second);
-      HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* second_bits,
-                             prober.PreferenceBits(second));
-      chain_bits = *first_bits;
-      chain_bits.AndWith(*second_bits);
+      // The chain bitmap starts live-masked (preference bitmaps are not),
+      // so every count taken against it below excludes deleted keys.
+      const size_t seed_members[] = {first, second};
+      HYPRE_RETURN_NOT_OK(prober.BitsInto(seed_members, &chain_bits));
       // Extend the chain until a probe fails or the pool runs dry
       // (Steps 3-6). Unlike the seed loop, an extension table would be
       // consulted at most once before the chain state changes (success) or

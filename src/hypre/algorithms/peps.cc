@@ -14,7 +14,7 @@ Peps::Peps(const std::vector<PreferenceAtom>* preferences,
 
 bool Peps::PairApplicable(size_t a, size_t b) const {
   size_t n = preferences_->size();
-  return pair_applicable_[a * n + b];
+  return pair_applicable_[a * n + b] != 0;
 }
 
 Status Peps::PrecomputePairs(const EnumerationControl& control) {
@@ -22,19 +22,19 @@ Status Peps::PrecomputePairs(const EnumerationControl& control) {
   const auto& prefs = *preferences_;
   size_t n = prefs.size();
   pairs_.clear();
-  pair_applicable_.assign(n * n, false);
+  pair_applicable_.assign(n * n, 0);
 
   auto record_pair = [&](size_t i, size_t j, size_t count) {
     if (count == 0) return;
     PairEntry entry;
     entry.i = i;
     entry.j = j;
-    entry.intensity = combiner_.ComputeIntensity(
-        combiner_.AndExtend(combiner_.Single(i), j));
+    entry.complement = (1.0 - prefs[i].intensity) * (1.0 - prefs[j].intensity);
+    entry.intensity = 1.0 - entry.complement;
     entry.num_tuples = count;
     pairs_.push_back(entry);
-    pair_applicable_[i * n + j] = true;
-    pair_applicable_[j * n + i] = true;
+    pair_applicable_[i * n + j] = 1;
+    pair_applicable_[j * n + i] = 1;
   };
 
   // Bulk leaf prefetch (one executor pass), then the whole upper triangle
@@ -62,11 +62,15 @@ Status Peps::PrecomputePairs(const EnumerationControl& control) {
   return Status::OK();
 }
 
-Result<std::vector<CombinationRecord>> Peps::GenerateOrder(
-    PepsMode mode, const EnumerationControl& control) {
+Status Peps::Expand(PepsMode mode, const EnumerationControl& control,
+                    std::vector<CombinationRecord>* records) {
   HYPRE_RETURN_NOT_OK(PrecomputePairs(control));
   const auto& prefs = *preferences_;
   num_expansion_probes_ = 0;
+  members_.clear();
+  order_.clear();
+  const bool streaming =
+      control.record_sink != nullptr && *control.record_sink;
 
   // Approximate mode prunes seed pairs that do not already beat the best
   // single preference (§5.5.2): combinations grown from weaker seeds would
@@ -74,20 +78,19 @@ Result<std::vector<CombinationRecord>> Peps::GenerateOrder(
   // approximate variant bets they never will.
   double best_single = prefs.empty() ? 0.0 : prefs.front().intensity;
 
-  std::vector<CombinationRecord> order;
-
   // DFS over the set-enumeration tree: members kept ascending. Seeds are
   // the distinct pairs i < j and an extension only appends k > the last
   // member, so every member set has exactly one path in the tree and needs
   // no dedup. An extension index k must form an applicable pair with every
   // current member (the pair-table pruning), and the extended set is then
-  // verified with one AND+popcount against the frame's bitmap. The bitmap
-  // is rebuilt into a reused scratch buffer on pop (an AND per member over
-  // the cached per-preference bitmaps) rather than stored per frame, so
-  // frames stay small and the DFS does no per-frame heap traffic.
+  // verified with one AND+popcount against the frame's bitmap. A frame is
+  // a span of the member arena plus its complement product; the bitmap is
+  // rebuilt into a reused scratch buffer on pop, so the DFS does no
+  // per-frame heap traffic beyond the arena's growth.
   struct Frame {
-    std::vector<size_t> members;  // ascending
-    Combination combination;
+    size_t offset = 0;
+    size_t length = 0;
+    double complement = 1.0;
     size_t num_tuples = 0;
   };
 
@@ -96,37 +99,41 @@ Result<std::vector<CombinationRecord>> Peps::GenerateOrder(
     if (mode == PepsMode::kApproximate && pair.intensity <= best_single) {
       continue;
     }
-    Frame frame;
-    frame.members = {pair.i, pair.j};
-    frame.combination =
-        combiner_.AndExtend(combiner_.Single(pair.i), pair.j);
-    frame.num_tuples = pair.num_tuples;
-    stack.push_back(std::move(frame));
+    stack.push_back({members_.size(), 2, pair.complement, pair.num_tuples});
+    members_.push_back(pair.i);
+    members_.push_back(pair.j);
   }
 
   KeyBitmap frame_bits;
   std::vector<size_t> candidates;  // reused per-frame extension batch
   bool budget_dry = false;
   while (!stack.empty() && !budget_dry) {
-    Frame frame = std::move(stack.back());
+    const Frame frame = stack.back();
     stack.pop_back();
+    const double intensity = 1.0 - frame.complement;
+    order_.push_back({intensity, frame.offset, frame.length});
 
-    CombinationRecord record;
-    record.num_predicates = frame.members.size();
-    record.num_tuples = frame.num_tuples;
-    record.intensity = combiner_.ComputeIntensity(frame.combination);
-    record.predicate_sql = combiner_.ToSql(frame.combination);
-    record.combination = frame.combination;
-    control.Emit(record);
-    order.push_back(std::move(record));
+    if (records != nullptr || streaming) {
+      CombinationRecord record;
+      record.num_predicates = frame.length;
+      record.num_tuples = frame.num_tuples;
+      record.intensity = intensity;
+      record.combination.groups.reserve(frame.length);
+      for (size_t m : Members(frame.offset, frame.length)) {
+        record.combination.groups.push_back({prefs[m].attribute_key, {m}});
+      }
+      record.predicate_sql = combiner_.ToSql(record.combination);
+      control.Emit(record);
+      if (records != nullptr) records->push_back(std::move(record));
+    }
 
     // Collect every extension k that survives the pair-table pruning; they
     // form the frame's candidate frontier.
     candidates.clear();
-    size_t last = frame.members.back();
-    for (size_t k = last + 1; k < prefs.size(); ++k) {
+    std::span<const size_t> members = Members(frame.offset, frame.length);
+    for (size_t k = members.back() + 1; k < prefs.size(); ++k) {
       bool all_pairs_ok = true;
-      for (size_t m : frame.members) {
+      for (size_t m : members) {
         if (!PairApplicable(m, k)) {
           all_pairs_ok = false;
           break;
@@ -145,22 +152,33 @@ Result<std::vector<CombinationRecord>> Peps::GenerateOrder(
 
     // Verify the whole frontier against the frame's bitmap in one blocked
     // batch pass.
-    HYPRE_RETURN_NOT_OK(prober_.BitsInto(frame.combination, &frame_bits));
+    HYPRE_RETURN_NOT_OK(prober_.BitsInto(members, &frame_bits));
     num_expansion_probes_ += candidates.size();
     HYPRE_ASSIGN_OR_RETURN(std::vector<size_t> counts,
                            prober_.CountExtensions(frame_bits, candidates));
     for (size_t c = 0; c < candidates.size(); ++c) {
       if (counts[c] == 0) continue;
       size_t k = candidates[c];
-      Frame next;
-      next.members = frame.members;
-      next.members.push_back(k);
-      next.combination = combiner_.AndExtend(frame.combination, k);
-      next.num_tuples = counts[c];
-      stack.push_back(std::move(next));
+      // The child copies the parent's members within the arena: reserve
+      // first so the copy's source is not moved by a reallocation.
+      size_t offset = members_.size();
+      members_.reserve(offset + frame.length + 1);
+      for (size_t m = 0; m < frame.length; ++m) {
+        members_.push_back(members_[frame.offset + m]);
+      }
+      members_.push_back(k);
+      stack.push_back({offset, frame.length + 1,
+                       frame.complement * (1.0 - prefs[k].intensity),
+                       counts[c]});
     }
   }
+  return Status::OK();
+}
 
+Result<std::vector<CombinationRecord>> Peps::GenerateOrder(
+    PepsMode mode, const EnumerationControl& control) {
+  std::vector<CombinationRecord> order;
+  HYPRE_RETURN_NOT_OK(Expand(mode, control, &order));
   std::stable_sort(order.begin(), order.end(),
                    [](const CombinationRecord& a, const CombinationRecord& b) {
                      return a.intensity > b.intensity;
@@ -171,38 +189,34 @@ Result<std::vector<CombinationRecord>> Peps::GenerateOrder(
 Result<std::vector<RankedTuple>> Peps::TopK(
     size_t k, PepsMode mode, const EnumerationControl& control) {
   const auto& prefs = *preferences_;
-  HYPRE_ASSIGN_OR_RETURN(std::vector<CombinationRecord> order,
-                         GenerateOrder(mode, control));
+  HYPRE_RETURN_NOT_OK(Expand(mode, control, /*records=*/nullptr));
 
   // Singles participate too: tuples matching exactly one preference are
-  // ranked by that preference's own intensity.
+  // ranked by that preference's own intensity. One stable sort over the
+  // pop-order combinations followed by the singles ranks ties exactly as
+  // GenerateOrder's sorted records followed by the singles would.
   for (size_t i = 0; i < prefs.size(); ++i) {
-    Combination single = combiner_.Single(i);
-    CombinationRecord record;
-    record.num_predicates = 1;
-    record.intensity = prefs[i].intensity;
-    record.combination = single;
-    record.predicate_sql = prefs[i].predicate;
-    // Tuple count not needed for ranking; fetched lazily below.
-    order.push_back(std::move(record));
+    order_.push_back({prefs[i].intensity, members_.size(), 1});
+    members_.push_back(i);
   }
-  std::stable_sort(order.begin(), order.end(),
-                   [](const CombinationRecord& a, const CombinationRecord& b) {
+  std::stable_sort(order_.begin(), order_.end(),
+                   [](const OrderEntry& a, const OrderEntry& b) {
                      return a.intensity > b.intensity;
                    });
 
   std::vector<RankedTuple> result;
   std::unordered_set<reldb::Value, reldb::ValueHash> ranked;
   KeyBitmap bits;
-  for (const CombinationRecord& record : order) {
+  for (const OrderEntry& entry : order_) {
     if (k > 0 && result.size() >= k) break;
-    HYPRE_RETURN_NOT_OK(prober_.BitsInto(record.combination, &bits));
+    HYPRE_RETURN_NOT_OK(
+        prober_.BitsInto(Members(entry.offset, entry.length), &bits));
     // KeysOf is deterministic: keys come out in Value total order.
     std::vector<reldb::Value> keys = prober_.engine().KeysOf(bits);
     for (const auto& key : keys) {
       if (k > 0 && result.size() >= k) break;
       if (!ranked.insert(key).second) continue;
-      result.push_back({key, record.intensity});
+      result.push_back({key, entry.intensity});
       control.Emit(result.back());
     }
   }

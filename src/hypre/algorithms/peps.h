@@ -19,8 +19,19 @@
 // TopK() walks the ordered combinations (plus the single preferences), so
 // each tuple receives the intensity of the best applicable combination it
 // matches.
+//
+// Every combination PEPS visits is a pure AND of single preferences, so the
+// DFS, the pair table and the Top-K walk work on flat member lists in one
+// arena and carry the combined intensity as its complement product
+// prod(1 - v_k) in member order — the same fold Combiner::ComputeIntensity
+// does over single-member groups, so intensities are bit-identical. A
+// CombinationRecord (with its Combination and SQL text) is built only for a
+// record a caller consumes: every record GenerateOrder returns, and every
+// record streamed to an installed record sink.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -39,7 +50,8 @@ enum class PepsMode { kComplete, kApproximate };
 struct PairEntry {
   size_t i = 0;
   size_t j = 0;
-  double intensity = 0.0;
+  double intensity = 0.0;   // 1 - complement
+  double complement = 1.0;  // (1 - v_i) * (1 - v_j)
   size_t num_tuples = 0;
 };
 
@@ -75,7 +87,8 @@ class Peps {
   /// charges one probe per pair-table entry and per expansion candidate
   /// (the DFS stops — truncated — when it runs dry); records stream through
   /// the record sink in DFS pop order. The "peps" row of api::kAlgorithms
-  /// calls this (k == 0) or TopK (k > 0).
+  /// calls this (k == 0) or TopK (k > 0). Members of each record's
+  /// combination are one single-member AND group per preference, ascending.
   Result<std::vector<CombinationRecord>> GenerateOrder(
       PepsMode mode,
       const EnumerationControl& control = EnumerationControl{});
@@ -84,7 +97,8 @@ class Peps {
   /// combination (or single preference) that matches it, descending. The
   /// control's budget applies to the underlying GenerateOrder (the record
   /// walk itself does bitmap algebra only and is not charged); ranked
-  /// tuples stream through the tuple sink in rank order.
+  /// tuples stream through the tuple sink in rank order, and with a record
+  /// sink installed the DFS streams the same records GenerateOrder would.
   Result<std::vector<RankedTuple>> TopK(
       size_t k, PepsMode mode,
       const EnumerationControl& control = EnumerationControl{});
@@ -100,10 +114,31 @@ class Peps {
   bool pairs_ready_ = false;
   std::vector<PairEntry> pairs_;
   // pair applicability matrix, row-major over preference indices
-  std::vector<bool> pair_applicable_;
+  std::vector<uint8_t> pair_applicable_;
   size_t num_expansion_probes_ = 0;
 
+  /// One ranked combination: `length` ascending preference indices at
+  /// `offset` in members_, and its combined intensity.
+  struct OrderEntry {
+    double intensity = 0.0;
+    size_t offset = 0;
+    size_t length = 0;
+  };
+  // The member arena every DFS frame and OrderEntry points into; it only
+  // grows during a run, so offsets stay valid until the next run.
+  std::vector<size_t> members_;
+  // The last run's combinations in DFS pop order.
+  std::vector<OrderEntry> order_;
+
   bool PairApplicable(size_t a, size_t b) const;
+  std::span<const size_t> Members(size_t offset, size_t length) const {
+    return {members_.data() + offset, length};
+  }
+  /// Runs the set-enumeration DFS, leaving every popped combination in
+  /// order_. Builds a CombinationRecord only where one is consumed: into
+  /// `*records` when non-null, and through the control's record sink.
+  Status Expand(PepsMode mode, const EnumerationControl& control,
+                std::vector<CombinationRecord>* records);
 };
 
 }  // namespace core

@@ -37,7 +37,7 @@ Status CombinationProber::PrefetchAll() const {
   exprs.reserve(prefs.size());
   for (const auto& pref : prefs) exprs.push_back(pref.expr);
   HYPRE_RETURN_NOT_OK(engine_->PrefetchLeaves(exprs));
-  // Materializing the per-preference bitmaps is now pure bitmap algebra.
+  // Resolving the per-preference handles now does no DB work.
   for (size_t i = 0; i < prefs.size(); ++i) {
     HYPRE_RETURN_NOT_OK(PreferenceBits(i).status());
   }
@@ -47,22 +47,38 @@ Status CombinationProber::PrefetchAll() const {
 Result<const KeyBitmap*> CombinationProber::PreferenceBits(
     size_t index) const {
   if (cached_epoch_ != engine_->epoch()) {
-    // The engine refreshed under us: every cached bitmap reflects a dead
-    // epoch. Drop them all; re-materialization below is pure bitmap algebra
-    // over the patched leaf cache.
+    // The engine refreshed under us: every cached handle names a dead
+    // epoch's bitmap. Drop them all; re-materialization below borrows the
+    // patched leaf cache again (no DB work unless the refresh compacted).
     member_bits_.clear();
+    owned_bits_.clear();
     cached_epoch_ = engine_->epoch();
   }
   if (member_bits_.size() < combiner_->preferences().size()) {
-    member_bits_.resize(combiner_->preferences().size());
+    member_bits_.resize(combiner_->preferences().size(), nullptr);
   }
   if (member_bits_[index] == nullptr) {
-    HYPRE_ASSIGN_OR_RETURN(
-        KeyBitmap bits,
-        engine_->EvalBitmap(combiner_->preferences()[index].expr));
-    member_bits_[index] = std::make_unique<KeyBitmap>(std::move(bits));
+    const reldb::ExprPtr& expr = combiner_->preferences()[index].expr;
+    HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* bits,
+                           engine_->UnmaskedLeafBitmap(expr));
+    if (bits == nullptr) {
+      // Compound preference: evaluated once per epoch into storage the
+      // prober owns.
+      HYPRE_ASSIGN_OR_RETURN(KeyBitmap evaluated, engine_->EvalBitmap(expr));
+      owned_bits_.push_back(std::make_unique<KeyBitmap>(std::move(evaluated)));
+      bits = owned_bits_.back().get();
+    }
+    member_bits_[index] = bits;
   }
-  return member_bits_[index].get();
+  return member_bits_[index];
+}
+
+Status CombinationProber::MaskTombstones(KeyBitmap* out) const {
+  if (engine_->has_tombstones()) {
+    HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* live, engine_->UniverseBitmap());
+    out->AndWith(*live);
+  }
+  return Status::OK();
 }
 
 Status CombinationProber::BitsInto(const Combination& combination,
@@ -95,12 +111,24 @@ Status CombinationProber::BitsInto(const Combination& combination,
     *out = KeyBitmap();
     return Status::OK();
   }
-  // Tombstoned keys are masked out of every probe result (delta contract).
-  if (engine_->has_tombstones()) {
-    HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* live, engine_->UniverseBitmap());
-    out->AndWith(*live);
+  return MaskTombstones(out);
+}
+
+Status CombinationProber::BitsInto(std::span<const size_t> members,
+                                   KeyBitmap* out) const {
+  if (members.empty()) {
+    *out = KeyBitmap();
+    return Status::OK();
   }
-  return Status::OK();
+  HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* first, PreferenceBits(members[0]));
+  *out = *first;
+  for (size_t pos = 1; pos < members.size(); ++pos) {
+    HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* bits,
+                           PreferenceBits(members[pos]));
+    out->AndWith(*bits);
+    if (out->None()) break;  // short-circuit: empty intersection
+  }
+  return MaskTombstones(out);
 }
 
 Status CombinationProber::Compile(
@@ -112,7 +140,8 @@ Status CombinationProber::Compile(
   // With tombstoned keys in the engine, the live mask joins every non-empty
   // combination as one more single-member AND group, so the shard kernels
   // mask deleted keys out with zero extra code paths — the same mask
-  // BitsInto ANDs.
+  // BitsInto ANDs. Borrowed leaves carry stale bits at tombstoned ids, so
+  // this group is what keeps them out of CountBatch.
   const uint64_t* mask_words = nullptr;
   if (engine_->has_tombstones()) {
     HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* live, engine_->UniverseBitmap());
@@ -219,6 +248,8 @@ Result<std::vector<size_t>> CombinationProber::CountBatch(
 
 Result<std::vector<size_t>> CombinationProber::CountAnds(
     size_t num_words) const {
+  // The live mask as a third operand: borrowed leaves carry stale bits at
+  // tombstoned ids, and CountPairs ANDs two of them.
   const uint64_t* mask = nullptr;
   if (engine_->has_tombstones()) {
     HYPRE_ASSIGN_OR_RETURN(const KeyBitmap* live, engine_->UniverseBitmap());

@@ -1,13 +1,14 @@
 // CombinationProber: the one probe handle the combination algorithms take.
 //
 // A prober is built per algorithm run over a fixed preference list and a
-// ProbeEngine. It caches each preference's key bitmap (materialized through
-// the engine, once per engine epoch) and answers two kinds of question from
-// that cache, never from the database:
+// ProbeEngine. It holds a handle to each preference's key bitmap (once per
+// engine epoch) and answers two kinds of question from those bitmaps,
+// never from the database:
 //
 //   BitsInto(combination)        one combination's key bitmap (OR within
-//                                groups, AND across groups, live mask) —
-//                                for PEPS expansion bases and Top-K walks
+//                                groups, AND across groups, live mask)
+//   BitsInto(members)            the AND of a member list, live mask — for
+//                                PEPS expansion bases and Top-K walks
 //   CountBatch / CountExtensions /
 //   CountPairs(frontier)         matching-key COUNTS for a whole frontier
 //                                in one blocked pass — every count an
@@ -35,20 +36,28 @@
 // The only DB work on this path is the bulk leaf prefetch (PrefetchAll)
 // before the first probe.
 //
-// Delta maintenance: the prober revalidates its cached per-preference
-// bitmaps against ProbeEngine::epoch() on every access, so after a
-// Refresh() the next probe transparently re-derives them from the patched
-// leaf cache (pure bitmap algebra, no DB work unless the refresh
-// compacted). When the engine carries tombstoned keys, BitsInto ANDs the
-// engine's live mask into its result, Compile() appends the same mask to
-// every combination as one more AND group, and the two-operand AND kernel
-// behind CountExtensions/CountPairs ANDs it in directly, keeping deleted
-// keys out of every probe.
+// Leaf borrowing: a single-leaf preference's bitmap is the engine's cached
+// leaf itself (ProbeEngine::UnmaskedLeafBitmap), not a copy; only compound
+// preferences (AND/OR/NOT) are evaluated into prober-owned bitmaps. The
+// borrow is safe because leaf entries are node-stable and erased only by a
+// refresh at pin count zero, which moves the epoch.
+//
+// Delta maintenance: the prober revalidates its per-preference handles
+// against ProbeEngine::epoch() on every access, so after a Refresh() the
+// next probe transparently re-borrows the patched leaf cache (no DB work
+// unless the refresh compacted). Borrowed leaves may carry stale bits at
+// tombstoned ids, and the prober is the ONE place that masks them: when the
+// engine carries tombstoned keys, BitsInto ANDs the engine's live mask into
+// its result, Compile() appends the same mask to every combination as one
+// more AND group, and the two-operand AND kernel behind
+// CountExtensions/CountPairs ANDs it in directly, keeping deleted keys out
+// of every probe.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -80,11 +89,15 @@ class CombinationProber {
 
   /// \brief Bulk-prefetches every preference's leaf bitmaps through
   /// ProbeEngine::PrefetchLeaves (ONE pass over the executor instead of one
-  /// query per leaf) and materializes all per-preference bitmaps from the
-  /// warmed cache. Idempotent; call before an algorithm starts probing.
+  /// query per leaf) and resolves every per-preference bitmap handle from
+  /// the warmed cache. Idempotent; call before an algorithm starts probing.
   Status PrefetchAll() const;
 
   /// \brief Key bitmap of one preference (the combination leaf handle).
+  /// UNMASKED: a borrowed leaf may carry stale bits at tombstoned ids, so
+  /// a caller deriving counts or keys from it must start from a masked
+  /// bitmap (BitsInto) or AND the engine's live mask itself. Valid until
+  /// the engine epoch moves.
   Result<const KeyBitmap*> PreferenceBits(size_t index) const;
 
   /// \brief Evaluates the combination (AND of OR-groups) into `out`,
@@ -94,6 +107,11 @@ class CombinationProber {
   /// Combiner::BuildExpr, without building and walking an expression tree.
   /// The empty combination yields a default (0-bit) bitmap.
   Status BitsInto(const Combination& combination, KeyBitmap* out) const;
+
+  /// \brief The AND of the listed preferences' bitmaps, live-masked, into
+  /// `out` — BitsInto for a combination of single-member groups, without
+  /// building one. An empty list yields a default (0-bit) bitmap.
+  Status BitsInto(std::span<const size_t> members, KeyBitmap* out) const;
 
   /// \brief Matching-key counts for every combination in `frontier`, in
   /// order; counts[i] is the popcount of BitsInto on frontier[i] (0 for the
@@ -132,6 +150,8 @@ class CombinationProber {
     size_t num_words = 0;
   };
 
+  /// ANDs the live mask into `out` when the engine has tombstones.
+  Status MaskTombstones(KeyBitmap* out) const;
   /// Compiles `frontier` into plan_, reusing its storage.
   Status Compile(const std::vector<Combination>& frontier) const;
   /// popcount(a & b) — and the live mask when the engine has tombstones —
@@ -149,9 +169,11 @@ class CombinationProber {
   const Combiner* combiner_;
   const ProbeEngine* engine_;
   size_t shard_words_;
-  // Lazily materialized per-preference bitmaps, indexed like the list;
-  // dropped wholesale when the engine epoch moves past cached_epoch_.
-  mutable std::vector<std::unique_ptr<KeyBitmap>> member_bits_;
+  // Lazily resolved per-preference bitmaps, indexed like the list: borrowed
+  // engine leaves, or owned_bits_ entries for compound preferences. Both
+  // are dropped wholesale when the engine epoch moves past cached_epoch_.
+  mutable std::vector<const KeyBitmap*> member_bits_;
+  mutable std::vector<std::unique_ptr<KeyBitmap>> owned_bits_;
   mutable uint64_t cached_epoch_ = 0;
   // Reused OR-group accumulator for BitsInto.
   mutable KeyBitmap group_scratch_;

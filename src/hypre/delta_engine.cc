@@ -110,42 +110,65 @@ Status DeltaEngine::ApplyAppends(
   return Status::OK();
 }
 
-Status DeltaEngine::RecomputeKey(const Value& key, uint32_t id,
-                                 const std::vector<reldb::ExprPtr>& leaf_exprs,
-                                 const std::vector<KeyBitmap*>& leaf_bits) {
-  ++stats_.keys_recomputed;
-  // Pin the base query to this key; with a hash index on the key column the
-  // recompute touches only the key's own rows.
+Status DeltaEngine::RecomputeKeys(
+    const std::vector<std::pair<Value, uint32_t>>& keys,
+    const std::vector<reldb::ExprPtr>& leaf_exprs,
+    const std::vector<KeyBitmap*>& leaf_bits) {
+  if (keys.empty()) return Status::OK();
+  ++stats_.recompute_passes;
+  stats_.keys_recomputed += keys.size();
+  // Pin the base query to the slice's keys with one IN list: an indexed
+  // key column serves it from the hash index (the same lookups one
+  // key-pinned query per key would make), an unindexed one scans once.
+  std::unordered_map<Value, size_t, reldb::ValueHash> slot_of;
+  std::vector<Value> values;
+  slot_of.reserve(keys.size());
+  values.reserve(keys.size());
+  for (size_t k = 0; k < keys.size(); ++k) {
+    slot_of.emplace(keys[k].first, k);
+    values.push_back(keys[k].first);
+  }
   auto [table, column] = reldb::SplitQualifiedName(engine_->key_column_);
-  reldb::ExprPtr key_eq =
-      reldb::Eq(table.empty() ? reldb::Col(column) : reldb::Col(table, column),
-                reldb::Lit(key));
+  reldb::ExprPtr key_in =
+      reldb::In(table.empty() ? reldb::Col(column) : reldb::Col(table, column),
+                std::move(values));
   reldb::Query query = engine_->base_query_;
-  query.where = query.where ? reldb::MakeAnd(query.where, key_eq) : key_eq;
-  bool alive = false;
-  std::vector<char> holds(leaf_bits.size(), 0);
+  query.where = query.where ? reldb::MakeAnd(query.where, key_in) : key_in;
+  const size_t num_leaves = leaf_bits.size();
+  std::vector<char> alive(keys.size(), 0);
+  std::vector<char> holds(keys.size() * num_leaves, 0);
   HYPRE_RETURN_NOT_OK(engine_->executor_.ForEachKeyedMatch(
       query, engine_->key_column_, leaf_exprs,
-      [&](const Value&) { alive = true; },
-      [&](size_t p, const Value&) { holds[p] = 1; }));
-  if (!alive) {
-    // The key lost its last supporting tuple: clear it from the live mask,
-    // forget its dictionary mapping, and queue the dense id for recycling.
-    // Stale leaf bits stay behind — masked out by the live mask until the
-    // id is scrubbed on reuse (or an epoch rebuild compacts).
-    engine_->universe_.Reset(id);
-    engine_->dict_.Forget(key);
-    engine_->free_ids_.push_back(id);
-    ++engine_->num_tombstones_;
-    ++stats_.keys_tombstoned;
-    return Status::OK();
-  }
-  engine_->universe_.Set(id);
-  for (size_t p = 0; p < leaf_bits.size(); ++p) {
-    if (holds[p] != 0) {
-      leaf_bits[p]->Set(id);
-    } else {
-      leaf_bits[p]->Reset(id);
+      [&](const Value& key) {
+        auto it = slot_of.find(key);
+        if (it != slot_of.end()) alive[it->second] = 1;
+      },
+      [&](size_t p, const Value& key) {
+        auto it = slot_of.find(key);
+        if (it != slot_of.end()) holds[it->second * num_leaves + p] = 1;
+      }));
+  for (size_t k = 0; k < keys.size(); ++k) {
+    const auto& [key, id] = keys[k];
+    if (alive[k] == 0) {
+      // The key lost its last supporting tuple: clear it from the live
+      // mask, forget its dictionary mapping, and queue the dense id for
+      // recycling. Stale leaf bits stay behind — masked out by the live
+      // mask until the id is scrubbed on reuse (or an epoch rebuild
+      // compacts).
+      engine_->universe_.Reset(id);
+      engine_->dict_.Forget(key);
+      engine_->free_ids_.push_back(id);
+      ++engine_->num_tombstones_;
+      ++stats_.keys_tombstoned;
+      continue;
+    }
+    engine_->universe_.Set(id);
+    for (size_t p = 0; p < num_leaves; ++p) {
+      if (holds[k * num_leaves + p] != 0) {
+        leaf_bits[p]->Set(id);
+      } else {
+        leaf_bits[p]->Reset(id);
+      }
     }
   }
   return Status::OK();
@@ -183,10 +206,12 @@ Status DeltaEngine::ApplyDeletes(
       }
     }
   }
+  std::vector<std::pair<Value, uint32_t>> keys;
+  keys.reserve(affected.size());
   for (const Value& key : affected) {
     if (key.is_null()) {
-      // `key = NULL` never matches under SQL equality, so a NULL key cannot
-      // be re-pinned for recompute; compact instead of guessing.
+      // `key IN (NULL)` never matches under SQL equality, so a NULL key
+      // cannot be re-pinned for recompute; compact instead of guessing.
       *needs_rebuild = true;
       return Status::OK();
     }
@@ -194,9 +219,9 @@ Status DeltaEngine::ApplyDeletes(
     // Unknown keys never made it into this snapshot (e.g. appended and
     // deleted within the slice): nothing to patch.
     if (id == reldb::DenseDictionary::kNotFound) continue;
-    HYPRE_RETURN_NOT_OK(RecomputeKey(key, id, leaf_exprs, leaf_bits));
+    keys.emplace_back(key, id);
   }
-  return Status::OK();
+  return RecomputeKeys(keys, leaf_exprs, leaf_bits);
 }
 
 void DeltaEngine::FullRebuild() {

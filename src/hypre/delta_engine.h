@@ -24,14 +24,16 @@
 //    their key directly; rows of joined tables are re-joined in their
 //    pre-delete state, starting from the deleted row itself
 //    (Executor::ForEachMatchOfRow with the slice's deleted rows made
-//    visible). Each affected key is then recomputed exactly with
-//    one key-pinned query — alive keys get their leaf bits set/cleared
-//    per-leaf, dead keys leave the universe: their live-mask bit clears,
-//    their dictionary mapping is forgotten, and their dense id joins the
-//    free list. Stale leaf bits at tombstoned ids are NOT scrubbed eagerly;
-//    every probe path ANDs the live mask instead (ProbeEngine::Eval,
-//    CombinationProber::BitsInto, and the mask group CombinationProber
-//    compiles into every batch count).
+//    visible). The slice's affected keys are then recomputed exactly in
+//    ONE keyed pass (`key_column IN (...)`, served from a hash index on
+//    the key column when there is one, one scan otherwise) — alive keys
+//    get their leaf bits set/cleared per-leaf, dead keys leave the
+//    universe: their live-mask bit clears, their dictionary mapping is
+//    forgotten, and their dense id joins the free list. Stale leaf bits at
+//    tombstoned ids are NOT scrubbed eagerly; every probe path ANDs the
+//    live mask instead (ProbeEngine::Eval, and CombinationProber's
+//    BitsInto, compiled mask group and three-operand AND count — the
+//    prober borrows cached leaves unmasked).
 //  * Key order. The ids the append pass added or recycled are merged into
 //    the engine's value-sorted key order (ProbeEngine::MergeKeyOrder), at
 //    O(n) integer moves plus O(k log n) compares for k such ids, instead
@@ -52,6 +54,7 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -83,6 +86,7 @@ class DeltaEngine {
     size_t keys_recycled = 0;     // tombstoned ids rebound to new keys
     size_t keys_tombstoned = 0;   // keys removed from the universe
     size_t keys_recomputed = 0;   // affected keys re-evaluated exactly
+    size_t recompute_passes = 0;  // keyed passes doing it (one per slice)
     size_t incremental_refreshes = 0;
     size_t full_rebuilds = 0;  // epoch compactions (threshold or NULL key)
     // Refresh requests that found readers holding epoch pins: the journal
@@ -136,10 +140,12 @@ class DeltaEngine {
           deleted_rows,
       const std::vector<reldb::ExprPtr>& leaf_exprs,
       const std::vector<KeyBitmap*>& leaf_bits, bool* needs_rebuild);
-  /// Exact re-evaluation of one key against the current table state.
-  Status RecomputeKey(const reldb::Value& key, uint32_t id,
-                      const std::vector<reldb::ExprPtr>& leaf_exprs,
-                      const std::vector<KeyBitmap*>& leaf_bits);
+  /// Exact re-evaluation of the (key, dense id) pairs against the current
+  /// table state, in one keyed pass; keys are patched in list order.
+  Status RecomputeKeys(
+      const std::vector<std::pair<reldb::Value, uint32_t>>& keys,
+      const std::vector<reldb::ExprPtr>& leaf_exprs,
+      const std::vector<KeyBitmap*>& leaf_bits);
   /// Epoch compaction: drops all interned state; the next probe re-interns
   /// lazily against the current table state.
   void FullRebuild();

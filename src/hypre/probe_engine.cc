@@ -548,6 +548,20 @@ Result<KeyBitmap> ProbeEngine::EvalBitmap(
   return Eval(predicate);
 }
 
+Result<const KeyBitmap*> ProbeEngine::UnmaskedLeafBitmap(
+    const reldb::ExprPtr& expr) const {
+  if (!expr) return nullptr;
+  switch (expr->kind()) {
+    case ExprKind::kAnd:
+    case ExprKind::kOr:
+    case ExprKind::kNot:
+      return nullptr;
+    default:
+      HYPRE_RETURN_NOT_OK(EnsureUniverse());
+      return LeafBitmap(expr);
+  }
+}
+
 reldb::Query ProbeEngine::Enhance(const reldb::ExprPtr& predicate) const {
   reldb::Query query = base_query_;
   if (query.where && predicate) {

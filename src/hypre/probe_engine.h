@@ -198,6 +198,19 @@ class ProbeEngine {
   /// KeyBitmap ops instead of re-probing.
   Result<KeyBitmap> EvalBitmap(const reldb::ExprPtr& predicate) const;
 
+  /// \brief The cached bitmap of a single leaf predicate, borrowed rather
+  /// than copied (loaded on a miss, like any probe). Returns null when
+  /// `expr` is null or compound (AND/OR/NOT): evaluate those with
+  /// EvalBitmap.
+  /// UNMASKED: the bitmap may carry stale bits at tombstoned ids, so the
+  /// caller must AND the live mask (UniverseBitmap) into anything it
+  /// derives while has_tombstones(). The pointer stays valid while an
+  /// epoch pin is held; without one, until the next applied refresh:
+  /// leaf entries are node-stable and erased only by a refresh at pin
+  /// count zero, which always bumps the epoch.
+  Result<const KeyBitmap*> UnmaskedLeafBitmap(
+      const reldb::ExprPtr& expr) const;
+
   /// \brief Bulk-populates the leaf cache for every leaf predicate reachable
   /// from `exprs` (AND/OR/NOT nodes are walked; null entries are skipped) in
   /// ONE pass over the executor: the base query runs once and every pending

@@ -9,6 +9,7 @@
 // (-DHYPRE_SIMD=OFF selects the portable ones); the suite passes on either.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -354,6 +355,104 @@ TEST(ProberBatch, DefaultWidthSpansSeveralShardsWithTombstones) {
   auto pair_counts = prober.CountPairs(pairs);
   ASSERT_TRUE(pair_counts.ok()) << pair_counts.status().ToString();
   EXPECT_EQ(*pair_counts, probe_oracle::PairCounts(prober, combiner, pairs));
+}
+
+TEST(ProberBatch, BorrowedLeavesAreMaskedAtEverySite) {
+  // The prober borrows the engine's cached leaves unmasked, so its three
+  // mask sites are the only thing keeping tombstoned keys out: BitsInto's
+  // final AND, the mask group Compile appends (CountBatch), and the third
+  // operand of the AND-count kernel (CountPairs, CountExtensions). A key
+  // deleted after its leaves were cached keeps its stale bits; dropping
+  // any one site makes one of the checks below count it.
+  reldb::Database db;
+  auto papers = db.CreateTable("p", Schema({{"pid", ValueType::kInt64},
+                                            {"a", ValueType::kInt64},
+                                            {"b", ValueType::kInt64}}));
+  ASSERT_TRUE(papers.ok());
+  for (int64_t pid = 0; pid < 200; ++pid) {
+    (*papers)->AppendUnchecked(
+        Row{Value::Int(pid), Value::Int(pid % 3), Value::Int(pid % 4)});
+  }
+  ASSERT_TRUE((*papers)->CreateHashIndex("pid").ok());
+  reldb::Query base;
+  base.from = "p";
+  ProbeEngine engine(&db, base, "p.pid");
+  std::vector<PreferenceAtom> prefs;
+  for (const char* pred : {"p.a=0", "p.a=1", "p.b=0", "p.b=1", "p.b=2"}) {
+    auto atom = MakeAtom(pred, 0.9 - 0.1 * static_cast<double>(prefs.size()));
+    ASSERT_TRUE(atom.ok()) << atom.status().ToString();
+    prefs.push_back(std::move(atom.value()));
+  }
+  SortByIntensityDesc(&prefs);
+  Combiner combiner(&prefs);
+  CombinationProber prober(&combiner, &engine);
+  ASSERT_TRUE(prober.PrefetchAll().ok());
+
+  // pid 0 matches a=0 and b=0; pid 13 matches a=1 and b=1. Delete both
+  // (row id == pid) plus a few more.
+  for (reldb::RowId row : {0, 13, 24, 37, 50, 101, 199}) {
+    ASSERT_TRUE((*papers)->Delete(row).ok());
+  }
+  ASSERT_TRUE(engine.Refresh().ok());
+  ASSERT_TRUE(engine.has_tombstones());
+  // The stale bits are really there: the borrowed leaf still holds the
+  // tombstoned key's id.
+  auto universe = engine.UniverseBitmap();
+  ASSERT_TRUE(universe.ok());
+  auto leaf = engine.UnmaskedLeafBitmap(prefs[0].expr);
+  ASSERT_TRUE(leaf.ok() && *leaf != nullptr);
+  auto borrowed = prober.PreferenceBits(0);
+  ASSERT_TRUE(borrowed.ok());
+  EXPECT_EQ(*borrowed, *leaf);
+  KeyBitmap stale = **leaf;
+  stale.AndNotWith(**universe);
+  ASSERT_TRUE(stale.Any()) << "no stale bit left to mask";
+
+  size_t n = prefs.size();
+  std::vector<Combination> frontier;
+  std::vector<std::pair<size_t, size_t>> pairs;
+  for (size_t i = 0; i < n; ++i) {
+    frontier.push_back(combiner.Single(i));
+    for (size_t j = i + 1; j < n; ++j) {
+      frontier.push_back(combiner.AndExtend(combiner.Single(i), j));
+      pairs.emplace_back(i, j);
+    }
+  }
+  frontier.push_back(combiner.MixedClause({0, 1, 2}));
+  frontier.push_back(combiner.MixedClause({2, 3, 4}));
+
+  // BitsInto against the engine's own evaluation (which masks its leaves
+  // independently of the prober), bitmap for bitmap.
+  KeyBitmap bits;
+  for (const Combination& combination : frontier) {
+    ASSERT_TRUE(prober.BitsInto(combination, &bits).ok());
+    auto expected = engine.EvalBitmap(combiner.BuildExpr(combination));
+    ASSERT_TRUE(expected.ok());
+    EXPECT_EQ(bits, *expected) << combiner.ToSql(combination);
+    if (combination.groups.size() > 1 &&
+        std::all_of(combination.groups.begin(), combination.groups.end(),
+                    [](const auto& g) { return g.members.size() == 1; })) {
+      std::vector<size_t> members = combination.SortedMembers();
+      KeyBitmap span_bits;
+      ASSERT_TRUE(prober.BitsInto(members, &span_bits).ok());
+      EXPECT_EQ(span_bits, *expected) << combiner.ToSql(combination);
+    }
+  }
+  auto counts = prober.CountBatch(frontier);
+  ASSERT_TRUE(counts.ok()) << counts.status().ToString();
+  EXPECT_EQ(*counts, probe_oracle::Counts(prober, frontier));
+  auto pair_counts = prober.CountPairs(pairs);
+  ASSERT_TRUE(pair_counts.ok()) << pair_counts.status().ToString();
+  EXPECT_EQ(*pair_counts, probe_oracle::PairCounts(prober, combiner, pairs));
+  // An unmasked base (the borrowed leaf itself) must still count only
+  // live keys: the kernel's mask operand does it.
+  std::vector<size_t> candidates;
+  for (size_t k = 1; k < n; ++k) candidates.push_back(k);
+  auto ext = prober.CountExtensions(**borrowed, candidates);
+  ASSERT_TRUE(ext.ok()) << ext.status().ToString();
+  EXPECT_EQ(*ext, probe_oracle::ExtensionCounts(prober, combiner,
+                                                combiner.Single(0),
+                                                candidates));
 }
 
 TEST(ProberBatch, PrefetchedLeavesMatchOnDemandLeaves) {

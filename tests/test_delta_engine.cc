@@ -253,6 +253,82 @@ TEST(DeltaEngine, RefreshHandlesDeletes) {
   ExpectEngineMatchesFresh(engine, db, preds, "after delete refresh");
 }
 
+TEST(DeltaEngine, UnindexedDeletesRecomputeInOneKeyedPass) {
+  // 66,000 rows with NO hash index on the key column, so recomputing a
+  // deleted key cannot be an index lookup: a slice's affected keys must be
+  // recomputed in one scan, not one scan per key. Rows past 65,000 repeat
+  // every 64th key with other values, so some deletes leave their key
+  // alive with changed leaf memberships while most tombstone it.
+  constexpr int64_t kRows = 66000;
+  constexpr int64_t kFirstRepeat = 65000;
+  reldb::Database db;
+  auto created = db.CreateTable("p", Schema({{"pid", ValueType::kInt64},
+                                             {"a", ValueType::kInt64},
+                                             {"b", ValueType::kInt64}}));
+  ASSERT_TRUE(created.ok());
+  reldb::Table* papers = *created;
+  Rng rng(606);
+  for (int64_t row = 0; row < kRows; ++row) {
+    int64_t pid = row < kFirstRepeat ? row : (row - kFirstRepeat) * 64;
+    papers->AppendUnchecked(Row{Value::Int(pid), Value::Int(rng.NextInt(0, 5)),
+                                Value::Int(rng.NextInt(0, 7))});
+  }
+  reldb::Query base;
+  base.from = "p";
+  ProbeEngine engine(&db, base, "p.pid");
+  std::vector<reldb::ExprPtr> preds{nullptr};
+  for (const char* pred : {"p.a=0", "p.a=1", "p.a=2", "p.b=0", "p.b=3"}) {
+    auto atom = MakeAtom(pred, 0.5);
+    ASSERT_TRUE(atom.ok()) << atom.status().ToString();
+    preds.push_back(atom->expr);
+  }
+  ASSERT_TRUE(engine.PrefetchLeaves(preds).ok());
+
+  size_t deleted = 0;
+  for (int64_t row = 5; row < kRows; row += 97, ++deleted) {
+    ASSERT_TRUE(papers->Delete(static_cast<RowId>(row)).ok());
+  }
+  ASSERT_GE(deleted, 680u);
+  ASSERT_TRUE(engine.Refresh().ok());
+  const DeltaEngine::Stats& stats = engine.delta_engine().stats();
+  EXPECT_EQ(stats.recompute_passes, 1u);
+  EXPECT_EQ(stats.keys_recomputed, deleted);  // every deleted row's own key
+  EXPECT_GT(stats.keys_tombstoned, 0u);
+  EXPECT_LT(stats.keys_tombstoned, deleted);  // repeated keys stay alive
+  EXPECT_EQ(stats.full_rebuilds, 0u);
+  ExpectEngineMatchesFresh(engine, db, preds, "after one slice");
+
+  // A second slice is a second pass, not one per key.
+  for (int64_t row = kFirstRepeat + 1; row < kRows; row += 7) {
+    if (papers->is_deleted(static_cast<RowId>(row))) continue;
+    ASSERT_TRUE(papers->Delete(static_cast<RowId>(row)).ok());
+  }
+  ASSERT_TRUE(engine.Refresh().ok());
+  EXPECT_EQ(stats.recompute_passes, 2u);
+  ExpectEngineMatchesFresh(engine, db, preds, "after two slices");
+
+  // Leaf bitmaps and the live mask, id by id: each set id of the patched
+  // engine names a key the rebuilt engine holds in the same leaf.
+  ProbeEngine rebuilt(&db, base, "p.pid");
+  for (const auto& pred : preds) {
+    auto patched_bits = engine.EvalBitmap(pred);
+    auto rebuilt_keys = rebuilt.MatchingKeys(pred);
+    ASSERT_TRUE(patched_bits.ok() && rebuilt_keys.ok());
+    std::set<Value> want(rebuilt_keys->begin(), rebuilt_keys->end());
+    std::set<Value> got;
+    patched_bits->ForEachSet([&](uint32_t id) { got.insert(engine.KeyAt(id)); });
+    EXPECT_EQ(got, want) << (pred ? pred->ToString() : "<universe>");
+  }
+  // Key order: ranks of live ids follow the Value order.
+  auto universe = engine.UniverseBitmap();
+  ASSERT_TRUE(universe.ok());
+  std::vector<uint32_t> live = (*universe)->ToIds();
+  for (size_t i = 1; i < live.size(); ++i) {
+    EXPECT_EQ(engine.KeyRank(live[i - 1]) < engine.KeyRank(live[i]),
+              engine.KeyAt(live[i - 1]).Compare(engine.KeyAt(live[i])) < 0);
+  }
+}
+
 TEST(DeltaEngine, RecyclesTombstonedIdsForNewKeys) {
   reldb::Database db;
   BuildMiniDblp(&db);

@@ -1,19 +1,32 @@
 // PEPS tests: pair-table precomputation, completeness of the Complete mode
 // against the exhaustive oracle, approximate-mode pruning, and Top-K
-// agreement with the brute-force tuple ranking.
+// agreement with the brute-force tuple ranking; then differentials on an
+// engine whose cached leaves carry stale bits at tombstoned (and recycled)
+// ids: the record stream of order and Top-K runs, budget truncation,
+// approximate mode, and Top-K against the exhaustive-oracle ranking.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
+#include <unordered_map>
 
+#include "common/random.h"
 #include "hypre/algorithms/exhaustive.h"
 #include "hypre/algorithms/peps.h"
+#include "hypre/delta_engine.h"
 #include "hypre/ranking.h"
+#include "probe_oracle.h"
 #include "test_fixtures.h"
 
 namespace hypre {
 namespace core {
 namespace {
 
+using reldb::Row;
+using reldb::Schema;
+using reldb::Value;
+using reldb::ValueType;
 using testing_fixtures::BuildMiniDblp;
 using testing_fixtures::MiniBaseQuery;
 using testing_fixtures::MiniPreferences;
@@ -178,6 +191,295 @@ TEST(PepsEdge, EmptyAndSinglePreferenceLists) {
   EXPECT_EQ(topk_one->size(), 3u);  // V1 papers 1, 2, 6
   for (const auto& t : *topk_one) {
     EXPECT_DOUBLE_EQ(t.intensity, 0.5);
+  }
+}
+
+// --- Tombstoned engine with recycled ids ------------------------------------
+
+/// Papers and tags over `p JOIN tag`. Every preference leaf is loaded
+/// before the tables mutate: papers are deleted (tombstoning their ids),
+/// new papers are appended in a later slice (recycling those ids), and
+/// more papers are deleted, each slice followed by a Refresh. The cached
+/// leaves then carry stale bits at tombstoned ids, which no PEPS output
+/// may show.
+class TombstonedPeps : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto papers = db_.CreateTable("p", Schema({{"pid", ValueType::kInt64},
+                                               {"venue", ValueType::kString}}));
+    ASSERT_TRUE(papers.ok());
+    papers_ = *papers;
+    auto tags = db_.CreateTable(
+        "tag", Schema({{"pid", ValueType::kInt64}, {"t", ValueType::kInt64}}));
+    ASSERT_TRUE(tags.ok());
+    tags_ = *tags;
+    for (int i = 0; i < 300; ++i) AddPaper();
+    ASSERT_TRUE(papers_->CreateHashIndex("pid").ok());
+    ASSERT_TRUE(tags_->CreateHashIndex("pid").ok());
+    reldb::Query base;
+    base.from = "p";
+    base.joins.push_back({"tag", "p.pid", "pid"});
+    engine_ = std::make_unique<ProbeEngine>(&db_, base, "p.pid");
+
+    auto add = [&](const std::string& pred, double intensity) {
+      auto atom = MakeAtom(pred, intensity);
+      ASSERT_TRUE(atom.ok()) << atom.status().ToString();
+      prefs_.push_back(std::move(atom.value()));
+    };
+    add("p.venue='V1'", 0.9);
+    add("p.venue='V2'", 0.8);
+    add("tag.t=0", 0.7);
+    add("tag.t=1", 0.6);
+    add("tag.t=2", 0.5);
+    add("tag.t=3", 0.45);
+    add("p.venue='V4' OR tag.t=5", 0.35);  // compound: evaluated, not borrowed
+    add("p.venue='V3'", 0.3);
+    add("tag.t=4", 0.2);
+    SortByIntensityDesc(&prefs_);
+    std::vector<reldb::ExprPtr> exprs;
+    for (const auto& pref : prefs_) exprs.push_back(pref.expr);
+    ASSERT_TRUE(engine_->PrefetchLeaves(exprs).ok());
+
+    DeletePapers(25);
+    ASSERT_TRUE(engine_->Refresh().ok());
+    for (int i = 0; i < 10; ++i) AddPaper();
+    ASSERT_TRUE(engine_->Refresh().ok());
+    DeletePapers(20);
+    ASSERT_TRUE(engine_->Refresh().ok());
+    ASSERT_TRUE(engine_->has_tombstones());
+    ASSERT_GT(engine_->delta_engine().stats().keys_recycled, 0u);
+    ASSERT_EQ(engine_->delta_engine().stats().full_rebuilds, 0u);
+  }
+
+  void AddPaper() {
+    const char* venues[] = {"V1", "V2", "V3", "V4"};
+    int64_t pid = next_pid_++;
+    papers_->AppendUnchecked(
+        Row{Value::Int(pid), Value::Str(venues[rng_.NextBounded(4)])});
+    std::set<int64_t> used;
+    for (size_t k = 1 + rng_.NextBounded(3); k > 0; --k) {
+      int64_t tag = rng_.NextInt(0, 6);
+      if (used.insert(tag).second) {
+        tags_->AppendUnchecked(Row{Value::Int(pid), Value::Int(tag)});
+      }
+    }
+  }
+
+  void DeletePapers(size_t n) {
+    for (size_t deleted = 0; deleted < n;) {
+      reldb::RowId row = rng_.NextBounded(papers_->num_rows());
+      if (papers_->is_deleted(row)) continue;
+      ASSERT_TRUE(papers_->Delete(row).ok());
+      ++deleted;
+    }
+  }
+
+  /// One GenerateOrder (k == 0) or TopK (k > 0) run with a record sink and
+  /// a budget (0 = unlimited), as the API's "peps" row calls them.
+  struct SinkRun {
+    std::vector<CombinationRecord> streamed;
+    std::vector<CombinationRecord> order;
+    std::vector<RankedTuple> top_k;
+    bool truncated = false;
+    size_t spent = 0;
+  };
+  SinkRun Run(size_t k, PepsMode mode, size_t budget_limit) {
+    SinkRun run;
+    RecordSink sink = [&](const CombinationRecord& record) {
+      run.streamed.push_back(record);
+    };
+    ProbeBudget budget(budget_limit);
+    EnumerationControl control;
+    control.budget = &budget;
+    control.record_sink = &sink;
+    control.truncated = &run.truncated;
+    Peps peps(&prefs_, engine_.get());
+    if (k > 0) {
+      auto top_k = peps.TopK(k, mode, control);
+      EXPECT_TRUE(top_k.ok()) << top_k.status().ToString();
+      if (top_k.ok()) run.top_k = std::move(*top_k);
+    } else {
+      auto order = peps.GenerateOrder(mode, control);
+      EXPECT_TRUE(order.ok()) << order.status().ToString();
+      if (order.ok()) run.order = std::move(*order);
+    }
+    run.spent = budget.spent();
+    return run;
+  }
+
+  reldb::Database db_;
+  reldb::Table* papers_ = nullptr;
+  reldb::Table* tags_ = nullptr;
+  std::unique_ptr<ProbeEngine> engine_;
+  std::vector<PreferenceAtom> prefs_;
+  Rng rng_{2024};
+  int64_t next_pid_ = 0;
+};
+
+/// Records compare field by field: counts, the exact intensity, the SQL
+/// text and the group structure of the combination.
+void ExpectSameRecords(const std::vector<CombinationRecord>& got,
+                       const std::vector<CombinationRecord>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t r = 0; r < got.size(); ++r) {
+    SCOPED_TRACE(testing::Message() << "record " << r);
+    EXPECT_EQ(got[r].num_predicates, want[r].num_predicates);
+    EXPECT_EQ(got[r].num_tuples, want[r].num_tuples);
+    EXPECT_EQ(got[r].intensity, want[r].intensity);
+    EXPECT_EQ(got[r].predicate_sql, want[r].predicate_sql);
+    ASSERT_EQ(got[r].combination.groups.size(),
+              want[r].combination.groups.size());
+    for (size_t g = 0; g < got[r].combination.groups.size(); ++g) {
+      EXPECT_EQ(got[r].combination.groups[g].attribute_key,
+                want[r].combination.groups[g].attribute_key);
+      EXPECT_EQ(got[r].combination.groups[g].members,
+                want[r].combination.groups[g].members);
+    }
+  }
+}
+
+TEST_F(TombstonedPeps, TopKStreamsTheRecordsOrderReturns) {
+  Combiner combiner(&prefs_);
+  CombinationProber prober(&combiner, engine_.get());
+  for (PepsMode mode : {PepsMode::kComplete, PepsMode::kApproximate}) {
+    SCOPED_TRACE(mode == PepsMode::kComplete ? "complete" : "approximate");
+    SinkRun order = Run(0, mode, 0);
+    SinkRun top_k = Run(10, mode, 0);
+    ASSERT_FALSE(order.streamed.empty());
+    // The same records, SQL included, in the same DFS pop order.
+    ExpectSameRecords(top_k.streamed, order.streamed);
+    EXPECT_EQ(top_k.top_k.size(), 10u);
+    // What GenerateOrder returns is its stream, stably sorted.
+    std::vector<CombinationRecord> sorted = order.streamed;
+    std::stable_sort(sorted.begin(), sorted.end(),
+                     [](const CombinationRecord& a,
+                        const CombinationRecord& b) {
+                       return a.intensity > b.intensity;
+                     });
+    ExpectSameRecords(order.order, sorted);
+    // Each record is the chain of single-member groups Combiner builds:
+    // bit-identical intensity, identical SQL, oracle tuple count.
+    for (const CombinationRecord& record : order.streamed) {
+      std::vector<size_t> members = record.combination.SortedMembers();
+      Combination chain = combiner.Single(members[0]);
+      for (size_t m = 1; m < members.size(); ++m) {
+        chain = combiner.AndExtend(chain, members[m]);
+      }
+      EXPECT_EQ(record.intensity, combiner.ComputeIntensity(chain));
+      EXPECT_EQ(record.predicate_sql, combiner.ToSql(chain));
+      EXPECT_EQ(record.num_predicates, members.size());
+    }
+    probe_oracle::ExpectRecordsMatchOracle(prober, order.streamed, "peps");
+  }
+}
+
+TEST_F(TombstonedPeps, BudgetedRunsTruncateAlike) {
+  const size_t n = prefs_.size();
+  const size_t num_pairs = n * (n - 1) / 2;
+  SinkRun full = Run(0, PepsMode::kComplete, 0);
+  ASSERT_GT(full.streamed.size(), 0u);
+  for (size_t limit : {size_t{1}, size_t{7}, num_pairs - 1, num_pairs,
+                       num_pairs + 1, num_pairs + 5, num_pairs + 20,
+                       size_t{100000}}) {
+    SCOPED_TRACE(testing::Message() << "budget=" << limit);
+    SinkRun order = Run(0, PepsMode::kComplete, limit);
+    SinkRun top_k = Run(10, PepsMode::kComplete, limit);
+    ExpectSameRecords(top_k.streamed, order.streamed);
+    EXPECT_EQ(top_k.truncated, order.truncated);
+    EXPECT_EQ(top_k.spent, order.spent);
+    EXPECT_LE(order.spent, limit);
+    if (limit >= num_pairs) {
+      // A whole pair table: the DFS runs as unbudgeted until the budget
+      // runs dry, so the stream is a prefix of the unbudgeted one.
+      ASSERT_LE(order.streamed.size(), full.streamed.size());
+      ExpectSameRecords(order.streamed,
+                        std::vector<CombinationRecord>(
+                            full.streamed.begin(),
+                            full.streamed.begin() +
+                                static_cast<std::ptrdiff_t>(
+                                    order.streamed.size())));
+    }
+    if (!order.truncated) ExpectSameRecords(order.streamed, full.streamed);
+  }
+  EXPECT_TRUE(Run(0, PepsMode::kComplete, 1).truncated);
+  EXPECT_FALSE(Run(0, PepsMode::kComplete, 100000).truncated);
+}
+
+TEST_F(TombstonedPeps, ApproximateKeepsExactlyTheRecordsOfBeatingSeeds) {
+  // A member set's DFS path starts at the pair of its two smallest
+  // members, so approximate mode returns exactly the complete records
+  // whose seed pair beats the best single preference.
+  SinkRun complete = Run(0, PepsMode::kComplete, 0);
+  SinkRun approx = Run(0, PepsMode::kApproximate, 0);
+  const double best_single = prefs_.front().intensity;
+  std::vector<CombinationRecord> want;
+  for (const CombinationRecord& record : complete.streamed) {
+    std::vector<size_t> members = record.combination.SortedMembers();
+    double seed = 1.0 - (1.0 - prefs_[members[0]].intensity) *
+                            (1.0 - prefs_[members[1]].intensity);
+    if (seed > best_single) want.push_back(record);
+  }
+  ASSERT_FALSE(want.empty());
+  ASSERT_LT(want.size(), complete.streamed.size());
+  std::map<std::vector<size_t>, const CombinationRecord*> got;
+  for (const CombinationRecord& record : approx.streamed) {
+    got.emplace(record.combination.SortedMembers(), &record);
+  }
+  ASSERT_EQ(got.size(), want.size());
+  for (const CombinationRecord& record : want) {
+    auto it = got.find(record.combination.SortedMembers());
+    ASSERT_NE(it, got.end()) << record.predicate_sql;
+    EXPECT_EQ(it->second->num_tuples, record.num_tuples);
+    EXPECT_EQ(it->second->intensity, record.intensity);
+  }
+}
+
+TEST_F(TombstonedPeps, TopKEqualsExhaustiveOracleRanking) {
+  // Oracle: every applicable AND subset from the exhaustive enumeration,
+  // each key scored by the best one it matches (a single scores its own
+  // intensity, as PEPS ranks singles).
+  Combiner combiner(&prefs_);
+  CombinationProber prober(&combiner, engine_.get());
+  auto subsets = ExhaustiveAndCombinations(prefs_, *engine_);
+  ASSERT_TRUE(subsets.ok()) << subsets.status().ToString();
+  std::unordered_map<Value, double, reldb::ValueHash> best;
+  KeyBitmap bits;
+  for (const CombinationRecord& record : *subsets) {
+    double intensity = record.num_predicates == 1
+                           ? prefs_[record.combination.groups[0].members[0]]
+                                 .intensity
+                           : record.intensity;
+    ASSERT_TRUE(prober.BitsInto(record.combination, &bits).ok());
+    for (const Value& key : engine_->KeysOf(bits)) {
+      auto [it, inserted] = best.emplace(key, intensity);
+      if (!inserted) it->second = std::max(it->second, intensity);
+    }
+  }
+  // No tombstoned key may be ranked.
+  auto live = engine_->MatchingKeys(nullptr);
+  ASSERT_TRUE(live.ok());
+  std::set<Value> live_keys(live->begin(), live->end());
+
+  for (PepsMode mode : {PepsMode::kComplete, PepsMode::kApproximate}) {
+    SCOPED_TRACE(mode == PepsMode::kComplete ? "complete" : "approximate");
+    Peps peps(&prefs_, engine_.get());
+    auto all = peps.TopK(0, mode);  // k == 0 ranks every matching key
+    ASSERT_TRUE(all.ok()) << all.status().ToString();
+    ASSERT_EQ(all->size(), best.size());
+    for (size_t r = 0; r < all->size(); ++r) {
+      const RankedTuple& tuple = (*all)[r];
+      ASSERT_EQ(live_keys.count(tuple.key), 1u) << tuple.key.ToString();
+      if (mode == PepsMode::kComplete) {
+        ASSERT_EQ(best.count(tuple.key), 1u) << tuple.key.ToString();
+        EXPECT_EQ(tuple.intensity, best.at(tuple.key)) << "rank " << r;
+      }
+      if (r > 0) EXPECT_LE(tuple.intensity, (*all)[r - 1].intensity);
+    }
+    Peps again(&prefs_, engine_.get());
+    auto top10 = again.TopK(10, mode);
+    ASSERT_TRUE(top10.ok());
+    EXPECT_EQ(*top10, std::vector<RankedTuple>(all->begin(),
+                                               all->begin() + 10));
   }
 }
 
