@@ -35,19 +35,6 @@ size_t DrawBiased(const std::vector<PreferenceAtom>& preferences,
   return chosen;
 }
 
-void Record(const Combiner& combiner, const EnumerationControl& control,
-            const Combination& combination, size_t num_tuples,
-            std::vector<CombinationRecord>* records) {
-  CombinationRecord record;
-  record.num_predicates = combination.NumPredicates();
-  record.num_tuples = num_tuples;
-  record.intensity = combiner.ComputeIntensity(combination);
-  record.predicate_sql = combiner.ToSql(combination);
-  record.combination = combination;
-  control.Emit(record);
-  records->push_back(std::move(record));
-}
-
 }  // namespace
 
 Result<BiasRandomResult> BiasRandomSelection(
@@ -117,7 +104,7 @@ Result<BiasRandomResult> BiasRandomSelection(
       // against the incrementally maintained chain bitmap instead.
       for (;;) {
         if (pool.empty()) {
-          Record(combiner, control, chain, chain_count, &result.records);
+          result.records.push_back(MakeRecord(combiner, chain, chain_count));
           break;
         }
         if (control.Admit(1) == 0) {
@@ -130,7 +117,7 @@ Result<BiasRandomResult> BiasRandomSelection(
         size_t extended_count = KeyBitmap::AndCount(chain_bits, *next_bits);
         engine.NoteProbesAnswered(1);
         if (!consult(extended_count)) {
-          Record(combiner, control, chain, chain_count, &result.records);
+          result.records.push_back(MakeRecord(combiner, chain, chain_count));
           break;
         }
         chain = combiner.AndExtend(chain, next);

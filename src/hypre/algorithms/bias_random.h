@@ -41,9 +41,9 @@ struct BiasRandomResult {
 /// invalid) charges one probe, and the run stops — truncated, the
 /// in-flight chain dropped — when the budget runs dry. Checks are charged
 /// as their verdicts are CONSUMED, so a budgeted run makes the same draws
-/// and streams a prefix of the unbudgeted run's records. Records stream
-/// through the control's sink in probe order. This is the algorithm core
-/// the "bias-random" row of api::kAlgorithms calls.
+/// and returns a prefix of the unbudgeted run's records, which are in
+/// probe order. This is the algorithm core the "bias-random" row of
+/// api::kAlgorithms calls.
 Result<BiasRandomResult> BiasRandomSelection(
     const std::vector<PreferenceAtom>& preferences,
     const ProbeEngine& engine, uint64_t seed,

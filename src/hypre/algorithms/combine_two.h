@@ -23,15 +23,14 @@ namespace core {
 enum class CombineSemantics { kAnd, kAndOr };
 
 /// \brief Runs Combine-Two over `preferences` (must be sorted descending by
-/// intensity; use SortByIntensityDesc). Emits one record per pair in
+/// intensity; use SortByIntensityDesc). Returns one record per pair in
 /// generation order: (0,1), (0,2), ..., (1,2), (1,3), ... All C(N,2) pair
 /// combinations are submitted as one batch frontier (bulk leaf prefetch +
 /// one blocked shard pass).
 ///
 /// `control` bounds the probe spend (one probe per pair; only the admitted
-/// generation-order prefix is probed, truncated otherwise) and streams each
-/// record as it is produced. This is the algorithm core the "combine-two"
-/// row of api::kAlgorithms calls.
+/// generation-order prefix is probed, truncated otherwise). This is the
+/// algorithm core the "combine-two" row of api::kAlgorithms calls.
 Result<std::vector<CombinationRecord>> CombineTwo(
     const std::vector<PreferenceAtom>& preferences,
     const ProbeEngine& engine, CombineSemantics semantics,

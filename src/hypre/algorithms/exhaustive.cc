@@ -34,8 +34,8 @@ Result<std::vector<CombinationRecord>> ExhaustiveAndCombinations(
   // Probe the subset space one fixed-size generation at a time: build the
   // next chunk of combinations, evaluate them in one blocked batch pass,
   // keep the applicable ones. The budget admits each generation as a prefix
-  // BEFORE it is probed, so a budgeted run streams a prefix of the
-  // unbudgeted run's records.
+  // BEFORE it is probed, so a budgeted run probes a prefix of the
+  // unbudgeted run's subsets.
   constexpr size_t kGeneration = 2048;
   std::vector<Combination> frontier;
   bool budget_dry = false;

@@ -24,9 +24,9 @@ namespace core {
 /// prefetch + blocked shard passes).
 ///
 /// `control` bounds the probe spend (one probe per subset; the run stops —
-/// truncated — once the budget is spent) and streams applicable records in
-/// probe order; the returned vector stays intensity-sorted. This is the
-/// algorithm core the "exhaustive" row of api::kAlgorithms calls.
+/// truncated — once the budget is spent, keeping the applicable records
+/// of the probed subsets, still intensity-sorted). This is the algorithm
+/// core the "exhaustive" row of api::kAlgorithms calls.
 Result<std::vector<CombinationRecord>> ExhaustiveAndCombinations(
     const std::vector<PreferenceAtom>& preferences,
     const ProbeEngine& engine, size_t max_n = 20,

@@ -11,8 +11,7 @@ Result<std::vector<CombinationRecord>> PartiallyCombineAll(
   Combiner combiner(&preferences);
   CombinationProber prober(&combiner, &engine);
   if (!preferences.empty()) HYPRE_RETURN_NOT_OK(prober.PrefetchAll());
-  std::vector<CombinationRecord> records;
-  std::vector<Combination> queries_ran;
+  std::vector<CombinationRecord> records;  // one per query ran, in order
   std::set<std::string> attributes_used;
   bool budget_dry = false;
 
@@ -20,14 +19,13 @@ Result<std::vector<CombinationRecord>> PartiallyCombineAll(
     HYPRE_ASSIGN_OR_RETURN(budget_dry,
                            ProbeGeneration(combiner, prober, control,
                                            /*applicable_only=*/false,
-                                           &generation, &records,
-                                           &queries_ran));
+                                           &generation, &records));
     return Status::OK();
   };
 
   for (size_t i = 0; i < preferences.size() && !budget_dry; ++i) {
     const std::string& attr = preferences[i].attribute_key;
-    if (queries_ran.empty()) {
+    if (records.empty()) {
       HYPRE_RETURN_NOT_OK(run({combiner.Single(i)}));
       attributes_used.insert(attr);
       continue;
@@ -36,16 +34,16 @@ Result<std::vector<CombinationRecord>> PartiallyCombineAll(
       // New attribute: AND-extend every combination created so far — one
       // generation, one batch.
       std::vector<Combination> generation;
-      generation.reserve(queries_ran.size());
-      for (const Combination& c : queries_ran) {
-        generation.push_back(combiner.AndExtend(c, i));
+      generation.reserve(records.size());
+      for (const CombinationRecord& record : records) {
+        generation.push_back(combiner.AndExtend(record.combination, i));
       }
       HYPRE_RETURN_NOT_OK(run(std::move(generation)));
       attributes_used.insert(attr);
       continue;
     }
-    // Attribute already used.
-    const Combination last = queries_ran.back();
+    // Attribute already used. `last` is read before run() appends.
+    const Combination& last = records.back().combination;
     if (!last.HasAnd()) {
       // Single-attribute combination so far: OR into it only.
       HYPRE_RETURN_NOT_OK(run({combiner.OrInto(last, i)}));
@@ -54,9 +52,9 @@ Result<std::vector<CombinationRecord>> PartiallyCombineAll(
     // Mixed combination: AND-extend earlier combinations that do not
     // constrain this attribute, then OR into the latest combination.
     std::vector<Combination> generation;
-    for (const Combination& c : queries_ran) {
-      if (!c.ContainsAttribute(attr)) {
-        generation.push_back(combiner.AndExtend(c, i));
+    for (const CombinationRecord& record : records) {
+      if (!record.combination.ContainsAttribute(attr)) {
+        generation.push_back(combiner.AndExtend(record.combination, i));
       }
     }
     generation.push_back(combiner.OrInto(last, i));

@@ -27,7 +27,7 @@ namespace hypre {
 namespace core {
 
 /// \brief Runs Partially-Combine-All over `preferences` (sorted descending
-/// by intensity). Records are emitted in probe order; combination sizes grow
+/// by intensity). Records are returned in probe order; combination sizes grow
 /// over time, and the same size reappears whenever older combinations are
 /// re-run with a new conjunct (which is why Figures 32-34 plot "combination
 /// order" per size). Each generation — the set of combinations a new
@@ -35,9 +35,8 @@ namespace core {
 ///
 /// `control` bounds the probe spend (one probe per spawned combination; each
 /// generation is admitted as a prefix before probing and the run stops —
-/// truncated — when the budget runs dry) and streams records in probe
-/// order. This is the algorithm core the "partially-combine-all" row of
-/// api::kAlgorithms calls.
+/// truncated — when the budget runs dry). This is the algorithm core the
+/// "partially-combine-all" row of api::kAlgorithms calls.
 Result<std::vector<CombinationRecord>> PartiallyCombineAll(
     const std::vector<PreferenceAtom>& preferences,
     const ProbeEngine& engine,

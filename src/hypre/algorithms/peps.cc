@@ -62,15 +62,12 @@ Status Peps::PrecomputePairs(const EnumerationControl& control) {
   return Status::OK();
 }
 
-Status Peps::Expand(PepsMode mode, const EnumerationControl& control,
-                    std::vector<CombinationRecord>* records) {
+Status Peps::Expand(PepsMode mode, const EnumerationControl& control) {
   HYPRE_RETURN_NOT_OK(PrecomputePairs(control));
   const auto& prefs = *preferences_;
   num_expansion_probes_ = 0;
   members_.clear();
   order_.clear();
-  const bool streaming =
-      control.record_sink != nullptr && *control.record_sink;
 
   // Approximate mode prunes seed pairs that do not already beat the best
   // single preference (§5.5.2): combinations grown from weaker seeds would
@@ -110,22 +107,8 @@ Status Peps::Expand(PepsMode mode, const EnumerationControl& control,
   while (!stack.empty() && !budget_dry) {
     const Frame frame = stack.back();
     stack.pop_back();
-    const double intensity = 1.0 - frame.complement;
-    order_.push_back({intensity, frame.offset, frame.length});
-
-    if (records != nullptr || streaming) {
-      CombinationRecord record;
-      record.num_predicates = frame.length;
-      record.num_tuples = frame.num_tuples;
-      record.intensity = intensity;
-      record.combination.groups.reserve(frame.length);
-      for (size_t m : Members(frame.offset, frame.length)) {
-        record.combination.groups.push_back({prefs[m].attribute_key, {m}});
-      }
-      record.predicate_sql = combiner_.ToSql(record.combination);
-      control.Emit(record);
-      if (records != nullptr) records->push_back(std::move(record));
-    }
+    order_.push_back({1.0 - frame.complement, frame.offset, frame.length,
+                      frame.num_tuples});
 
     // Collect every extension k that survives the pair-table pruning; they
     // form the frame's candidate frontier.
@@ -175,21 +158,38 @@ Status Peps::Expand(PepsMode mode, const EnumerationControl& control,
   return Status::OK();
 }
 
-Result<std::vector<CombinationRecord>> Peps::GenerateOrder(
-    PepsMode mode, const EnumerationControl& control) {
-  std::vector<CombinationRecord> order;
-  HYPRE_RETURN_NOT_OK(Expand(mode, control, &order));
-  std::stable_sort(order.begin(), order.end(),
-                   [](const CombinationRecord& a, const CombinationRecord& b) {
+void Peps::SortOrder() {
+  std::stable_sort(order_.begin(), order_.end(),
+                   [](const OrderEntry& a, const OrderEntry& b) {
                      return a.intensity > b.intensity;
                    });
-  return order;
+}
+
+Result<std::vector<CombinationRecord>> Peps::GenerateOrder(
+    PepsMode mode, const EnumerationControl& control) {
+  const auto& prefs = *preferences_;
+  HYPRE_RETURN_NOT_OK(Expand(mode, control));
+  SortOrder();
+  std::vector<CombinationRecord> records(order_.size());
+  for (size_t r = 0; r < order_.size(); ++r) {
+    const OrderEntry& entry = order_[r];
+    CombinationRecord& record = records[r];
+    record.num_predicates = entry.length;
+    record.num_tuples = entry.num_tuples;
+    record.intensity = entry.intensity;
+    record.combination.groups.reserve(entry.length);
+    for (size_t m : Members(entry.offset, entry.length)) {
+      record.combination.groups.push_back({prefs[m].attribute_key, {m}});
+    }
+    record.predicate_sql = combiner_.ToSql(record.combination);
+  }
+  return records;
 }
 
 Result<std::vector<RankedTuple>> Peps::TopK(
     size_t k, PepsMode mode, const EnumerationControl& control) {
   const auto& prefs = *preferences_;
-  HYPRE_RETURN_NOT_OK(Expand(mode, control, /*records=*/nullptr));
+  HYPRE_RETURN_NOT_OK(Expand(mode, control));
 
   // Singles participate too: tuples matching exactly one preference are
   // ranked by that preference's own intensity. One stable sort over the
@@ -199,10 +199,7 @@ Result<std::vector<RankedTuple>> Peps::TopK(
     order_.push_back({prefs[i].intensity, members_.size(), 1});
     members_.push_back(i);
   }
-  std::stable_sort(order_.begin(), order_.end(),
-                   [](const OrderEntry& a, const OrderEntry& b) {
-                     return a.intensity > b.intensity;
-                   });
+  SortOrder();
 
   std::vector<RankedTuple> result;
   std::unordered_set<reldb::Value, reldb::ValueHash> ranked;
@@ -217,7 +214,6 @@ Result<std::vector<RankedTuple>> Peps::TopK(
       if (k > 0 && result.size() >= k) break;
       if (!ranked.insert(key).second) continue;
       result.push_back({key, entry.intensity});
-      control.Emit(result.back());
     }
   }
   return result;

@@ -25,9 +25,8 @@
 // arena and carry the combined intensity as its complement product
 // prod(1 - v_k) in member order — the same fold Combiner::ComputeIntensity
 // does over single-member groups, so intensities are bit-identical. A
-// CombinationRecord (with its Combination and SQL text) is built only for a
-// record a caller consumes: every record GenerateOrder returns, and every
-// record streamed to an installed record sink.
+// CombinationRecord (with its Combination and SQL text) is built only for
+// the records GenerateOrder returns; TopK builds none.
 #pragma once
 
 #include <cstdint>
@@ -85,10 +84,10 @@ class Peps {
   /// \brief All applicable AND combinations of >= 2 preferences reachable in
   /// the given mode, descending by combined intensity. The control's budget
   /// charges one probe per pair-table entry and per expansion candidate
-  /// (the DFS stops — truncated — when it runs dry); records stream through
-  /// the record sink in DFS pop order. The "peps" row of api::kAlgorithms
-  /// calls this (k == 0) or TopK (k > 0). Members of each record's
-  /// combination are one single-member AND group per preference, ascending.
+  /// (the DFS stops — truncated — when it runs dry). The "peps" row of
+  /// api::kAlgorithms calls this (k == 0) or TopK (k > 0). Members of each
+  /// record's combination are one single-member AND group per preference,
+  /// ascending. Ties in intensity keep DFS pop order.
   Result<std::vector<CombinationRecord>> GenerateOrder(
       PepsMode mode,
       const EnumerationControl& control = EnumerationControl{});
@@ -96,9 +95,8 @@ class Peps {
   /// \brief Top-K tuples: each tuple is ranked by the best applicable
   /// combination (or single preference) that matches it, descending. The
   /// control's budget applies to the underlying GenerateOrder (the record
-  /// walk itself does bitmap algebra only and is not charged); ranked
-  /// tuples stream through the tuple sink in rank order, and with a record
-  /// sink installed the DFS streams the same records GenerateOrder would.
+  /// walk itself does bitmap algebra only and is not charged), so TopK and
+  /// GenerateOrder spend and truncate alike.
   Result<std::vector<RankedTuple>> TopK(
       size_t k, PepsMode mode,
       const EnumerationControl& control = EnumerationControl{});
@@ -118,16 +116,17 @@ class Peps {
   size_t num_expansion_probes_ = 0;
 
   /// One ranked combination: `length` ascending preference indices at
-  /// `offset` in members_, and its combined intensity.
+  /// `offset` in members_, its combined intensity and tuple count.
   struct OrderEntry {
     double intensity = 0.0;
     size_t offset = 0;
     size_t length = 0;
+    size_t num_tuples = 0;
   };
   // The member arena every DFS frame and OrderEntry points into; it only
   // grows during a run, so offsets stay valid until the next run.
   std::vector<size_t> members_;
-  // The last run's combinations in DFS pop order.
+  // The last run's combinations, in DFS pop order until SortOrder.
   std::vector<OrderEntry> order_;
 
   bool PairApplicable(size_t a, size_t b) const;
@@ -135,10 +134,10 @@ class Peps {
     return {members_.data() + offset, length};
   }
   /// Runs the set-enumeration DFS, leaving every popped combination in
-  /// order_. Builds a CombinationRecord only where one is consumed: into
-  /// `*records` when non-null, and through the control's record sink.
-  Status Expand(PepsMode mode, const EnumerationControl& control,
-                std::vector<CombinationRecord>* records);
+  /// order_ in pop order.
+  Status Expand(PepsMode mode, const EnumerationControl& control);
+  /// Stable-sorts order_ descending by intensity (ties keep their order).
+  void SortOrder();
 };
 
 }  // namespace core

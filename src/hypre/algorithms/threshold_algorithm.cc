@@ -145,7 +145,7 @@ Result<std::vector<RankedTuple>> ThresholdAlgorithmTopK(
 }
 
 Result<std::vector<GradedList>> BuildGradedLists(
-    const ProbeEngine& engine, const std::vector<PreferenceAtom>& atoms,
+    const ProbeEngine& engine, std::span<const PreferenceAtom> atoms,
     const std::function<std::string(const PreferenceAtom&)>& list_key) {
   std::vector<GradedList> lists;
   if (atoms.empty()) return lists;
@@ -178,15 +178,9 @@ Result<std::vector<RankedTuple>> ThresholdAlgorithm(
   // One probe per atom builds the graded lists (each atom's key bitmap is
   // materialized once); the budget admits a prefix of the atoms.
   size_t admitted = control.Admit(preferences.size());
-  std::vector<PreferenceAtom> prefix;
-  const std::vector<PreferenceAtom>* atoms = &preferences;
-  if (admitted < preferences.size()) {
-    prefix.assign(preferences.begin(),
-                  preferences.begin() + static_cast<std::ptrdiff_t>(admitted));
-    atoms = &prefix;
-  }
-  HYPRE_ASSIGN_OR_RETURN(std::vector<GradedList> lists,
-                         BuildGradedLists(engine, *atoms));
+  HYPRE_ASSIGN_OR_RETURN(
+      std::vector<GradedList> lists,
+      BuildGradedLists(engine, std::span(preferences).first(admitted)));
   std::vector<RankedTuple> top;
   if (lists.empty()) return top;
   // The remaining budget caps the sorted-access depth, TA's unit of work.
@@ -203,9 +197,10 @@ Result<std::vector<RankedTuple>> ThresholdAlgorithm(
   HYPRE_ASSIGN_OR_RETURN(top, ThresholdAlgorithmTopK(engine, lists, k,
                                                      &sorted_accesses,
                                                      max_depth, &capped));
-  control.Admit(sorted_accesses);  // always fits: max_depth bounded it
+  // The rounds ran already (max_depth bounded them), so they skip the
+  // checkpoint: a stop now must not mark a complete answer truncated.
+  if (control.budget != nullptr) control.budget->Admit(sorted_accesses);
   if (capped && control.truncated != nullptr) *control.truncated = true;
-  for (const RankedTuple& tuple : top) control.Emit(tuple);
   return top;
 }
 

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -120,7 +121,7 @@ Result<std::vector<RankedTuple>> ThresholdAlgorithmTopK(
 /// attribute key); each atom grades its matching ids with its intensity,
 /// f_and-merged per id within a list.
 Result<std::vector<GradedList>> BuildGradedLists(
-    const ProbeEngine& engine, const std::vector<PreferenceAtom>& atoms,
+    const ProbeEngine& engine, std::span<const PreferenceAtom> atoms,
     const std::function<std::string(const PreferenceAtom&)>& list_key =
         nullptr);
 
@@ -129,8 +130,8 @@ Result<std::vector<GradedList>> BuildGradedLists(
 /// charges one probe per atom for the graded lists (only the admitted
 /// prefix of the atoms is graded) and one per sorted-access round, so the
 /// remaining budget caps the descent depth; `*control.truncated` is raised
-/// when either charge did not fit. The ranked tuples stream through the
-/// tuple sink in rank order. An empty preference list ranks nothing.
+/// when either charge did not fit; the checkpoint is asked at the atom
+/// charge only. An empty preference list ranks nothing.
 Result<std::vector<RankedTuple>> ThresholdAlgorithm(
     const std::vector<PreferenceAtom>& preferences, const ProbeEngine& engine,
     size_t k, const EnumerationControl& control = EnumerationControl{});

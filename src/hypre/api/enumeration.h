@@ -6,7 +6,7 @@
 // layer turns algorithm choice into a REQUEST PARAMETER:
 //
 //   EnumerationRequest{algorithm="peps", base_query, key_column,
-//                      preferences, k, probe_budget, sinks, ...}
+//                      preferences, k, probe_budget, checkpoint, ...}
 //         │
 //         ▼
 //   Session::Enumerate ── FindAlgorithm: row of kAlgorithms ("bias-random",
@@ -22,11 +22,12 @@
 //
 // The table is fixed: one {name, description, run} row per algorithm, and
 // each run is a single call into the algorithm's core, which takes the
-// budget/sink control itself. A probe BUDGET bounds the probe spend with a
-// truncation verdict (the admission knob a multi-tenant deployment meters
-// requests with); STREAMING sinks receive records / ranked tuples as they
-// are produced. With no budget, results are byte-identical to calling the
-// algorithm core directly (enforced by tests/test_session_api.cc).
+// budget/checkpoint control itself. A probe BUDGET bounds the probe spend
+// with a truncation verdict (the admission knob a multi-tenant deployment
+// meters requests with); a CHECKPOINT, asked at every budget charge, may
+// stop the run the same way. With no budget and a checkpoint that always
+// goes on, results are byte-identical to calling the algorithm core
+// directly (enforced by tests/test_session_api.cc).
 #pragma once
 
 #include <array>
@@ -49,7 +50,7 @@ namespace api {
 
 /// \brief One enumeration request: everything that was a compile-time call
 /// site before — algorithm, query, preferences, per-algorithm knobs,
-/// budget, sinks — as data.
+/// budget, checkpoint — as data.
 struct EnumerationRequest {
   /// Algorithm name, a row of kAlgorithms: "bias-random", "combine-two",
   /// "exhaustive", "partially-combine-all", "peps", or "ta".
@@ -81,21 +82,19 @@ struct EnumerationRequest {
   /// Probe budget: maximum combination probes (pair entries, frontier
   /// members, expansion candidates, bias-random checks, TA sorted-access
   /// rounds) this request may spend. 0 = unlimited. A budgeted run stops
-  /// early with EnumerationResult::truncated set; for exhaustive,
-  /// combine-two, partially-combine-all and bias-random the streamed
-  /// records are a prefix of the unbudgeted run's stream.
+  /// early with EnumerationResult::truncated set; for combine-two,
+  /// partially-combine-all and bias-random the records are a prefix of the
+  /// unbudgeted run's records, for exhaustive a subset.
   /// The budget meters per-request probe work only: leaf-bitmap
   /// materialization is engine-lifetime shared warm-up (one DB query per
   /// DISTINCT leaf, reused by every later request over the same query
   /// spec) and is reported in stats but not charged against the budget.
   size_t probe_budget = 0;
 
-  /// Streaming: called per combination record in probe order, before any
-  /// final intensity sort.
-  core::RecordSink record_sink;
-  /// Streaming: called per ranked tuple in rank order ("peps" with k > 0,
-  /// "ta").
-  core::TupleSink tuple_sink;
+  /// Asked on the request thread at every budget charge, ticket and epoch
+  /// pin held. Returning false stops the run as a dry budget would (what
+  /// was probed comes back, `truncated` set). Empty = always go on.
+  core::Checkpoint checkpoint;
 
   /// Pin the engine to the current database state before running: the
   /// session applies all journal entries recorded since the engine's last
@@ -129,14 +128,12 @@ struct EnumerationResult {
   core::ProbeStats stats;
   /// Engine epoch the request probed (see ProbeEngine::epoch()).
   uint64_t epoch = 0;
-  /// True when the probe budget ran dry before the algorithm finished.
-  /// The output is deterministic but incomplete: for the
-  /// generation-ordered algorithms ("exhaustive", "combine-two",
-  /// "partially-combine-all", "bias-random") it is the prefix of the
-  /// unbounded run's probe sequence; for "peps" and "ta" —
-  /// which re-rank intermediate state (pair table, graded lists) before
-  /// emitting — it is a subset that may order differently than the
-  /// unbounded run, so re-run with a larger budget rather than paginating.
+  /// True when the probe budget ran dry, or the checkpoint stopped the run,
+  /// before the algorithm finished. The output is deterministic but
+  /// incomplete: a prefix of the unbounded run's records for "combine-two",
+  /// "partially-combine-all" and "bias-random", a subset that may order
+  /// differently for "exhaustive", "peps" and "ta" (which sort or re-rank
+  /// before returning) — re-run with a larger budget rather than paginating.
   bool truncated = false;
   /// "bias-random" extras: probes that returned >= 1 tuple / nothing.
   size_t valid_checks = 0;
@@ -152,7 +149,7 @@ struct Algorithm {
   std::string_view description;
   /// Runs the algorithm core over the session's cached `engine` and the
   /// intensity-sorted `preferences`, with the request's knobs and the
-  /// budget/sink `control`.
+  /// budget/checkpoint `control`.
   /// Fills result->records / result->top_k and the bias-random tallies; the
   /// session owns stats, epoch and truncated.
   Status (*run)(const core::ProbeEngine& engine,

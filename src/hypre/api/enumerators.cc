@@ -1,10 +1,10 @@
 // The algorithm table behind the unified API.
 //
-// Each row is one call into an algorithm core; the budget/sink control
-// plane is forwarded into the algorithm, which enforces it at generation
-// granularity (see hypre/algorithms/common.h), and prefetches its own
-// leaves. Everything session-level — engine caching, epoch pinning,
-// statistics deltas — is the Session's job, not the table's.
+// Each row is one call into an algorithm core; the budget/checkpoint
+// control plane is forwarded into the algorithm, which enforces it at
+// generation granularity (see hypre/algorithms/common.h), and prefetches
+// its own leaves. Everything session-level — engine caching, epoch
+// pinning, statistics deltas — is the Session's job, not the table's.
 #include "common/string_util.h"
 #include "hypre/algorithms/bias_random.h"
 #include "hypre/algorithms/combine_two.h"

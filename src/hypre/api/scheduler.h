@@ -98,7 +98,6 @@ class AdmissionScheduler {
     ~Ticket() { Release(); }
 
     void Release();
-    bool admitted() const { return scheduler_ != nullptr; }
 
    private:
     friend class AdmissionScheduler;

@@ -411,9 +411,9 @@ Result<EnumerationResult> Session::Enumerate(
       AdmissionScheduler::Ticket ticket,
       scheduler_.TryAdmit(request.probe_budget, admission_deadline));
   (void)ticket;
+  EnumerationResult result;
 #if HYPRE_TELEMETRY_ENABLED
   if (request.trace) {
-    EnumerationResult result;
     telemetry::Trace trace;
     {
       // The target installs a thread_local, so every TraceSpan opened under
@@ -428,7 +428,6 @@ Result<EnumerationResult> Session::Enumerate(
     return result;
   }
 #endif
-  EnumerationResult result;
   HYPRE_RETURN_NOT_OK(EnumerateInternal(request, &result));
   return result;
 }
@@ -475,8 +474,7 @@ Status Session::EnumerateInternal(const EnumerationRequest& request,
   core::ProbeBudget budget(request.probe_budget);
   core::EnumerationControl control;
   if (request.probe_budget > 0) control.budget = &budget;
-  if (request.record_sink) control.record_sink = &request.record_sink;
-  if (request.tuple_sink) control.tuple_sink = &request.tuple_sink;
+  if (request.checkpoint) control.checkpoint = &request.checkpoint;
   control.truncated = &result->truncated;
 
   {

@@ -10,9 +10,9 @@
 //   request ──▶ FindAlgorithm: the kAlgorithms row (by name)
 //           ──▶ engine cache [(base SQL, key column) → ProbeEngine]
 //           ──▶ Refresh(): journal drained, epoch pinned for this request
-//           ──▶ row.run: one call into the algorithm core (budget + sinks
-//               wired through), which bulk-prefetches its preference
-//               leaves and builds its one CombinationProber
+//           ──▶ row.run: one call into the algorithm core (budget +
+//               checkpoint wired through), which bulk-prefetches its
+//               preference leaves and builds its one CombinationProber
 //           ──▶ result {records/top_k, ProbeStats delta, epoch, truncated}
 //
 // Thread model: single writer, many readers — concurrent Enumerate()

@@ -43,9 +43,10 @@ struct DecodedEnumerate {
   /// header, which the service applies before decoding). 0 = none. Mapped
   /// onto EnumerationRequest::admission_timeout_ms by the service.
   uint64_t deadline_ms = 0;
-  /// Debug-only synthetic latency injected inside the admission window
-  /// (ignored unless the server runs with debug endpoints enabled). Lets
-  /// tests and CI saturate the admission queue deterministically.
+  /// Debug-only synthetic latency: one nap at the run's first budget
+  /// charge, inside the admission window (ignored unless the server runs
+  /// with debug endpoints enabled). Lets tests and CI saturate the
+  /// admission queue deterministically.
   uint64_t debug_sleep_ms = 0;
 };
 

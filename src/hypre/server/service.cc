@@ -1,6 +1,5 @@
 #include "hypre/server/service.h"
 
-#include <atomic>
 #include <chrono>
 #include <memory>
 #include <thread>
@@ -206,17 +205,16 @@ HttpResponse Service::HandleEnumerate(Tenant* tenant,
 
   if (options_.enable_debug && decoded->debug_sleep_ms > 0) {
     // Synthetic latency held INSIDE the admission window: the sleep fires
-    // on the first emitted record/tuple, while the request's admission
+    // once, at the run's first budget charge, while the request's admission
     // ticket is live — how the tests and CI saturate the queue on purpose.
-    auto slept = std::make_shared<std::atomic<bool>>(false);
-    const uint64_t sleep_ms = decoded->debug_sleep_ms;
-    auto nap = [slept, sleep_ms] {
-      if (!slept->exchange(true)) {
+    enumerate.checkpoint = [sleep_ms = decoded->debug_sleep_ms,
+                            slept = false]() mutable {
+      if (!slept) {
+        slept = true;
         std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
       }
+      return true;
     };
-    enumerate.record_sink = [nap](const core::CombinationRecord&) { nap(); };
-    enumerate.tuple_sink = [nap](const core::RankedTuple&) { nap(); };
   }
 
   // Refresh split: the journal drain reads base tables, so it belongs to

@@ -39,9 +39,9 @@ namespace hypre {
 namespace server {
 
 struct ServiceOptions {
-  /// Honor "debug_sleep_ms" in enumerate bodies (synthetic latency held
-  /// INSIDE the admission window, so tests can saturate the queue
-  /// deterministically). Never enable outside tests/CI.
+  /// Honor "debug_sleep_ms" in enumerate bodies: one nap at the run's first
+  /// budget charge, held INSIDE the admission window, so tests can saturate
+  /// the queue deterministically. Never enable outside tests/CI.
   bool enable_debug = false;
   /// Deadline applied when a request names none; 0 = wait indefinitely.
   uint64_t default_deadline_ms = 0;

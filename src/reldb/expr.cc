@@ -1,5 +1,8 @@
 #include "reldb/expr.h"
 
+#include <algorithm>
+#include <cmath>
+
 namespace hypre {
 namespace reldb {
 
@@ -33,6 +36,35 @@ std::string CompareExpr::ToString() const {
 std::string BetweenExpr::ToString() const {
   return column_->ToString() + " BETWEEN " + lo_.ToString() + " AND " +
          hi_.ToString();
+}
+
+InListExpr::InListExpr(ExprPtr column, std::vector<Value> values)
+    : Expr(ExprKind::kInList),
+      column_(std::move(column)),
+      values_(std::move(values)) {
+  for (size_t i = 0; i < values_.size(); ++i) {
+    if (values_[i].is_null()) continue;
+    has_numeric_ = has_numeric_ || values_[i].is_numeric();
+    has_nan_ = has_nan_ || (values_[i].is_numeric() &&
+                            std::isnan(values_[i].NumericValue()));
+    by_hash_.emplace_back(values_[i].Hash(), i);
+  }
+  std::sort(by_hash_.begin(), by_hash_.end());
+}
+
+bool InListExpr::Contains(const Value& v) const {
+  if (v.is_null()) return false;
+  // Compare finds a NaN equal to every number, and no hash can say so.
+  if (v.is_numeric() && (has_nan_ || std::isnan(v.NumericValue()))) {
+    return has_numeric_;
+  }
+  const size_t hash = v.Hash();
+  auto it = std::lower_bound(by_hash_.begin(), by_hash_.end(),
+                             std::pair<size_t, size_t>(hash, 0));
+  for (; it != by_hash_.end() && it->first == hash; ++it) {
+    if (values_[it->second].Compare(v) == 0) return true;
+  }
+  return false;
 }
 
 std::string InListExpr::ToString() const {
@@ -163,10 +195,7 @@ Result<bool> Evaluate(const Expr& expr, const RowAccessor& row) {
     case ExprKind::kInList: {
       const auto& in = static_cast<const InListExpr&>(expr);
       HYPRE_ASSIGN_OR_RETURN(Value v, EvaluateScalar(*in.column(), row));
-      for (const auto& candidate : in.values()) {
-        if (ApplyCompare(CompareOp::kEq, v, candidate)) return true;
-      }
-      return false;
+      return in.Contains(v);
     }
     case ExprKind::kAnd: {
       const auto& nary = static_cast<const NaryExpr&>(expr);

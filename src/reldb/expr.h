@@ -8,6 +8,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -151,16 +152,19 @@ class BetweenExpr : public Expr {
   Value hi_;
 };
 
-/// \brief `col IN (v1, v2, ...)`.
+/// \brief `col IN (v1, v2, ...)`. The values are indexed by Value::Hash
+/// once, at construction, so a membership test is a hash and a binary
+/// search instead of a scan of the list.
 class InListExpr : public Expr {
  public:
-  InListExpr(ExprPtr column, std::vector<Value> values)
-      : Expr(ExprKind::kInList),
-        column_(std::move(column)),
-        values_(std::move(values)) {}
+  InListExpr(ExprPtr column, std::vector<Value> values);
 
   const ExprPtr& column() const { return column_; }
   const std::vector<Value>& values() const { return values_; }
+
+  /// \brief True when `v` equals a listed value under Value::Compare (NULL
+  /// equals nothing), exactly as a scan of values() would answer.
+  bool Contains(const Value& v) const;
 
   std::string ToString() const override;
   void CollectTables(std::set<std::string>* out) const override {
@@ -170,6 +174,11 @@ class InListExpr : public Expr {
  private:
   ExprPtr column_;
   std::vector<Value> values_;
+  // (Value::Hash, index) of every non-NULL value, sorted. Equal values all
+  // stay: Compare is not transitive across int64 and double.
+  std::vector<std::pair<size_t, size_t>> by_hash_;
+  bool has_numeric_ = false;
+  bool has_nan_ = false;
 };
 
 /// \brief N-ary conjunction / disjunction.

@@ -264,20 +264,21 @@ TEST(ConcurrentSession, RefreshDefersWhileReaderPinned) {
   const core::ProbeEngine& engine = **cached;
   const uint64_t epoch_before = engine.epoch();
 
-  // A record sink that parks the enumeration mid-run (on the request
+  // A checkpoint that parks the enumeration mid-run (on the request
   // thread, with the epoch pin held) until the main thread releases it.
   std::mutex mu;
   std::condition_variable cv;
   bool started = false;
   bool release = false;
   EnumerationRequest pinned = request;
-  pinned.record_sink = [&](const core::CombinationRecord&) {
+  pinned.checkpoint = [&] {
     std::unique_lock<std::mutex> lock(mu);
     if (!started) {
       started = true;
       cv.notify_all();
       cv.wait(lock, [&] { return release; });
     }
+    return true;
   };
 
   std::string pinned_digest;

@@ -80,10 +80,6 @@ std::string EnumerateBody(const std::string& algorithm, Json extra = Json()) {
     prefs.Append(std::move(p));
   }
   body.Set("preferences", std::move(prefs));
-  if (extra.kind() == Json::Kind::kObject) {
-    // Json has no iteration API for objects beyond Find; merge by Dump is
-    // overkill — callers pass the handful of knobs below instead.
-  }
   if (const Json* k = extra.Find("k")) body.Set("k", *k);
   if (const Json* seed = extra.Find("seed")) body.Set("seed", *seed);
   if (const Json* budget = extra.Find("probe_budget")) {
@@ -495,62 +491,75 @@ TEST_F(HttpServerTest, SaturatedAdmissionShedsWith429AndRetryAfter) {
   scheduler.max_concurrent = 1;
   scheduler.max_queue_depth = 1;
   StartServer(scheduler);
-
-  // Warm the tenant so the slow request below measures admission, not the
-  // synthetic generation.
-  auto warm = Fetch(port(), "POST", "/v1/alpha/enumerate",
-                    EnumerateBody("combine-two"));
-  ASSERT_TRUE(warm.ok());
-  ASSERT_EQ(warm->status, 200);
   auto tenant = tenants_->Get("alpha");
   ASSERT_TRUE(tenant.ok());
+  const api::AdmissionScheduler& admission =
+      (*tenant)->session()->scheduler();
 
-  // A debug-slowed request holds the single admission slot...
-  std::thread slow([&] {
-    auto extra = Json::Parse("{\"debug_sleep_ms\":700}", "t");
-    ASSERT_TRUE(extra.ok());
-    auto reply = Fetch(port(), "POST", "/v1/alpha/enumerate",
-                       EnumerateBody("combine-two", std::move(*extra)));
-    ASSERT_TRUE(reply.ok());
-    EXPECT_EQ(reply->status, 200);
-  });
-  ASSERT_TRUE(WaitFor([&] {
-    return (*tenant)->session()->scheduler().stats().inflight == 1;
-  }));
+  // The debug nap fires at the run's first budget charge, wherever each
+  // algorithm makes it: the generation probe (combine-two), the pair table
+  // (PEPS top-k) and the graded lists (TA).
+  uint64_t rejected = 0;
+  for (const auto& [algorithm, k] :
+       std::vector<std::pair<std::string, int64_t>>{
+           {"combine-two", 0}, {"peps", 10}, {"ta", 10}}) {
+    SCOPED_TRACE(algorithm);
+    Json knobs = Json::Object();
+    if (k > 0) knobs.Set("k", Json::Int(k));
+    // Warm the algorithm so the slow request below measures admission, not
+    // the synthetic generation.
+    auto warm = Fetch(port(), "POST", "/v1/alpha/enumerate",
+                      EnumerateBody(algorithm, knobs));
+    ASSERT_TRUE(warm.ok());
+    ASSERT_EQ(warm->status, 200) << warm->body;
 
-  // ...a second request with a short deadline times out in the queue...
-  auto deadline_extra = Json::Parse("{\"deadline_ms\":60}", "t");
-  ASSERT_TRUE(deadline_extra.ok());
-  auto shed = Fetch(port(), "POST", "/v1/alpha/enumerate",
-                    EnumerateBody("combine-two", std::move(*deadline_extra)));
-  ASSERT_TRUE(shed.ok());
-  EXPECT_EQ(shed->status, 429) << shed->body;
-  ASSERT_NE(FindHeader(*shed, "retry-after"), nullptr);
-  EXPECT_EQ(*FindHeader(*shed, "retry-after"), "1");
-  EXPECT_NE(shed->body.find("Unavailable"), std::string::npos);
+    // A debug-slowed request holds the single admission slot...
+    std::thread slow([&] {
+      Json extra = knobs;
+      extra.Set("debug_sleep_ms", Json::Int(700));
+      auto reply = Fetch(port(), "POST", "/v1/alpha/enumerate",
+                         EnumerateBody(algorithm, std::move(extra)));
+      ASSERT_TRUE(reply.ok());
+      EXPECT_EQ(reply->status, 200);
+    });
+    if (!WaitFor([&] { return admission.stats().inflight == 1; })) {
+      slow.join();
+      FAIL() << "the nap never held the admission slot";
+    }
 
-  // ...and with one waiter occupying the bounded queue, a third request is
-  // rejected IMMEDIATELY (queue full), no deadline needed.
-  std::thread queued([&] {
-    auto reply = Fetch(port(), "POST", "/v1/alpha/enumerate",
-                       EnumerateBody("combine-two"));
-    ASSERT_TRUE(reply.ok());
-    EXPECT_EQ(reply->status, 200);  // eventually admitted FIFO
-  });
-  ASSERT_TRUE(WaitFor([&] {
-    return (*tenant)->session()->scheduler().stats().queue_depth == 1;
-  }));
-  auto full_extra = Json::Parse("{\"deadline_ms\":2000}", "t");
-  ASSERT_TRUE(full_extra.ok());
-  auto full = Fetch(port(), "POST", "/v1/alpha/enumerate",
-                    EnumerateBody("combine-two", std::move(*full_extra)));
-  ASSERT_TRUE(full.ok());
-  EXPECT_EQ(full->status, 429) << full->body;
-  EXPECT_NE(full->body.find("queue full"), std::string::npos) << full->body;
+    // ...a second request with a short deadline times out in the queue...
+    Json deadline_extra = knobs;
+    deadline_extra.Set("deadline_ms", Json::Int(60));
+    auto shed = Fetch(port(), "POST", "/v1/alpha/enumerate",
+                      EnumerateBody(algorithm, std::move(deadline_extra)));
+    ASSERT_TRUE(shed.ok());
+    EXPECT_EQ(shed->status, 429) << shed->body;
+    ASSERT_NE(FindHeader(*shed, "retry-after"), nullptr);
+    EXPECT_EQ(*FindHeader(*shed, "retry-after"), "1");
+    EXPECT_NE(shed->body.find("Unavailable"), std::string::npos);
 
-  slow.join();
-  queued.join();
-  EXPECT_GE((*tenant)->session()->scheduler().stats().rejected, 2u);
+    // ...and with one waiter occupying the bounded queue, a third request
+    // is rejected IMMEDIATELY (queue full), no deadline needed.
+    std::thread queued([&] {
+      auto reply = Fetch(port(), "POST", "/v1/alpha/enumerate",
+                         EnumerateBody(algorithm, knobs));
+      ASSERT_TRUE(reply.ok());
+      EXPECT_EQ(reply->status, 200);  // eventually admitted FIFO
+    });
+    ASSERT_TRUE(WaitFor([&] { return admission.stats().queue_depth == 1; }));
+    Json full_extra = knobs;
+    full_extra.Set("deadline_ms", Json::Int(2000));
+    auto full = Fetch(port(), "POST", "/v1/alpha/enumerate",
+                      EnumerateBody(algorithm, std::move(full_extra)));
+    ASSERT_TRUE(full.ok());
+    EXPECT_EQ(full->status, 429) << full->body;
+    EXPECT_NE(full->body.find("queue full"), std::string::npos) << full->body;
+
+    slow.join();
+    queued.join();
+    EXPECT_GE(admission.stats().rejected, rejected + 2);
+    rejected = admission.stats().rejected;
+  }
 }
 
 TEST_F(HttpServerTest, DeadlineHeaderIsHonored) {

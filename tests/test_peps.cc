@@ -2,8 +2,8 @@
 // against the exhaustive oracle, approximate-mode pruning, and Top-K
 // agreement with the brute-force tuple ranking; then differentials on an
 // engine whose cached leaves carry stale bits at tombstoned (and recycled)
-// ids: the record stream of order and Top-K runs, budget truncation,
-// approximate mode, and Top-K against the exhaustive-oracle ranking.
+// ids: the records order runs return, budget truncation of order and Top-K
+// runs, approximate mode, and Top-K against the exhaustive-oracle ranking.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -274,24 +274,19 @@ class TombstonedPeps : public ::testing::Test {
     }
   }
 
-  /// One GenerateOrder (k == 0) or TopK (k > 0) run with a record sink and
-  /// a budget (0 = unlimited), as the API's "peps" row calls them.
-  struct SinkRun {
-    std::vector<CombinationRecord> streamed;
+  /// One GenerateOrder (k == 0) or TopK (k > 0) run with a budget
+  /// (0 = unlimited), as the API's "peps" row calls them.
+  struct BudgetedRun {
     std::vector<CombinationRecord> order;
     std::vector<RankedTuple> top_k;
     bool truncated = false;
     size_t spent = 0;
   };
-  SinkRun Run(size_t k, PepsMode mode, size_t budget_limit) {
-    SinkRun run;
-    RecordSink sink = [&](const CombinationRecord& record) {
-      run.streamed.push_back(record);
-    };
+  BudgetedRun Run(size_t k, PepsMode mode, size_t budget_limit) {
+    BudgetedRun run;
     ProbeBudget budget(budget_limit);
     EnumerationControl control;
     control.budget = &budget;
-    control.record_sink = &sink;
     control.truncated = &run.truncated;
     Peps peps(&prefs_, engine_.get());
     if (k > 0) {
@@ -338,28 +333,22 @@ void ExpectSameRecords(const std::vector<CombinationRecord>& got,
   }
 }
 
-TEST_F(TombstonedPeps, TopKStreamsTheRecordsOrderReturns) {
+TEST_F(TombstonedPeps, OrderRecordsAreSortedCombinerChains) {
   Combiner combiner(&prefs_);
   CombinationProber prober(&combiner, engine_.get());
   for (PepsMode mode : {PepsMode::kComplete, PepsMode::kApproximate}) {
     SCOPED_TRACE(mode == PepsMode::kComplete ? "complete" : "approximate");
-    SinkRun order = Run(0, mode, 0);
-    SinkRun top_k = Run(10, mode, 0);
-    ASSERT_FALSE(order.streamed.empty());
-    // The same records, SQL included, in the same DFS pop order.
-    ExpectSameRecords(top_k.streamed, order.streamed);
-    EXPECT_EQ(top_k.top_k.size(), 10u);
-    // What GenerateOrder returns is its stream, stably sorted.
-    std::vector<CombinationRecord> sorted = order.streamed;
-    std::stable_sort(sorted.begin(), sorted.end(),
-                     [](const CombinationRecord& a,
-                        const CombinationRecord& b) {
-                       return a.intensity > b.intensity;
-                     });
-    ExpectSameRecords(order.order, sorted);
+    BudgetedRun order = Run(0, mode, 0);
+    ASSERT_FALSE(order.order.empty());
+    EXPECT_EQ(Run(10, mode, 0).top_k.size(), 10u);
+    EXPECT_TRUE(std::is_sorted(order.order.begin(), order.order.end(),
+                               [](const CombinationRecord& a,
+                                  const CombinationRecord& b) {
+                                 return a.intensity > b.intensity;
+                               }));
     // Each record is the chain of single-member groups Combiner builds:
     // bit-identical intensity, identical SQL, oracle tuple count.
-    for (const CombinationRecord& record : order.streamed) {
+    for (const CombinationRecord& record : order.order) {
       std::vector<size_t> members = record.combination.SortedMembers();
       Combination chain = combiner.Single(members[0]);
       for (size_t m = 1; m < members.size(); ++m) {
@@ -369,37 +358,38 @@ TEST_F(TombstonedPeps, TopKStreamsTheRecordsOrderReturns) {
       EXPECT_EQ(record.predicate_sql, combiner.ToSql(chain));
       EXPECT_EQ(record.num_predicates, members.size());
     }
-    probe_oracle::ExpectRecordsMatchOracle(prober, order.streamed, "peps");
+    probe_oracle::ExpectRecordsMatchOracle(prober, order.order, "peps");
   }
 }
 
 TEST_F(TombstonedPeps, BudgetedRunsTruncateAlike) {
   const size_t n = prefs_.size();
   const size_t num_pairs = n * (n - 1) / 2;
-  SinkRun full = Run(0, PepsMode::kComplete, 0);
-  ASSERT_GT(full.streamed.size(), 0u);
+  BudgetedRun full = Run(0, PepsMode::kComplete, 0);
+  ASSERT_GT(full.order.size(), 0u);
+  std::map<std::vector<size_t>, const CombinationRecord*> full_by_members;
+  for (const CombinationRecord& record : full.order) {
+    full_by_members.emplace(record.combination.SortedMembers(), &record);
+  }
   for (size_t limit : {size_t{1}, size_t{7}, num_pairs - 1, num_pairs,
                        num_pairs + 1, num_pairs + 5, num_pairs + 20,
                        size_t{100000}}) {
     SCOPED_TRACE(testing::Message() << "budget=" << limit);
-    SinkRun order = Run(0, PepsMode::kComplete, limit);
-    SinkRun top_k = Run(10, PepsMode::kComplete, limit);
-    ExpectSameRecords(top_k.streamed, order.streamed);
+    BudgetedRun order = Run(0, PepsMode::kComplete, limit);
+    BudgetedRun top_k = Run(10, PepsMode::kComplete, limit);
     EXPECT_EQ(top_k.truncated, order.truncated);
     EXPECT_EQ(top_k.spent, order.spent);
     EXPECT_LE(order.spent, limit);
-    if (limit >= num_pairs) {
-      // A whole pair table: the DFS runs as unbudgeted until the budget
-      // runs dry, so the stream is a prefix of the unbudgeted one.
-      ASSERT_LE(order.streamed.size(), full.streamed.size());
-      ExpectSameRecords(order.streamed,
-                        std::vector<CombinationRecord>(
-                            full.streamed.begin(),
-                            full.streamed.begin() +
-                                static_cast<std::ptrdiff_t>(
-                                    order.streamed.size())));
+    // Complete mode reaches every applicable member set, so whatever a
+    // budgeted run pops, from a whole or a truncated pair table, is one of
+    // the unbudgeted run's records.
+    ASSERT_LE(order.order.size(), full.order.size());
+    for (const CombinationRecord& record : order.order) {
+      auto it = full_by_members.find(record.combination.SortedMembers());
+      ASSERT_NE(it, full_by_members.end()) << record.predicate_sql;
+      ExpectSameRecords({record}, {*it->second});
     }
-    if (!order.truncated) ExpectSameRecords(order.streamed, full.streamed);
+    if (!order.truncated) ExpectSameRecords(order.order, full.order);
   }
   EXPECT_TRUE(Run(0, PepsMode::kComplete, 1).truncated);
   EXPECT_FALSE(Run(0, PepsMode::kComplete, 100000).truncated);
@@ -409,20 +399,20 @@ TEST_F(TombstonedPeps, ApproximateKeepsExactlyTheRecordsOfBeatingSeeds) {
   // A member set's DFS path starts at the pair of its two smallest
   // members, so approximate mode returns exactly the complete records
   // whose seed pair beats the best single preference.
-  SinkRun complete = Run(0, PepsMode::kComplete, 0);
-  SinkRun approx = Run(0, PepsMode::kApproximate, 0);
+  BudgetedRun complete = Run(0, PepsMode::kComplete, 0);
+  BudgetedRun approx = Run(0, PepsMode::kApproximate, 0);
   const double best_single = prefs_.front().intensity;
   std::vector<CombinationRecord> want;
-  for (const CombinationRecord& record : complete.streamed) {
+  for (const CombinationRecord& record : complete.order) {
     std::vector<size_t> members = record.combination.SortedMembers();
     double seed = 1.0 - (1.0 - prefs_[members[0]].intensity) *
                             (1.0 - prefs_[members[1]].intensity);
     if (seed > best_single) want.push_back(record);
   }
   ASSERT_FALSE(want.empty());
-  ASSERT_LT(want.size(), complete.streamed.size());
+  ASSERT_LT(want.size(), complete.order.size());
   std::map<std::vector<size_t>, const CombinationRecord*> got;
-  for (const CombinationRecord& record : approx.streamed) {
+  for (const CombinationRecord& record : approx.order) {
     got.emplace(record.combination.SortedMembers(), &record);
   }
   ASSERT_EQ(got.size(), want.size());

@@ -1,8 +1,12 @@
 // Unit tests for the predicate AST: evaluation, printing, equality.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
+#include <string>
+#include <vector>
 
+#include "common/random.h"
 #include "reldb/expr.h"
 
 namespace hypre {
@@ -71,6 +75,56 @@ TEST(ExprTest, InList) {
   EXPECT_TRUE(Eval(In(Col("t", "make"), {Value::Str("BMW"), Value::Str("Honda")}),
                    row));
   EXPECT_FALSE(Eval(In(Col("t", "make"), {Value::Str("VW")}), row));
+}
+
+// The linear scan Evaluate ran before IN lists were hashed: NULL equals
+// nothing, anything else is equal when Value::Compare says 0.
+bool ScanInList(const Value& v, const std::vector<Value>& list) {
+  for (const Value& candidate : list) {
+    if (!v.is_null() && !candidate.is_null() && v.Compare(candidate) == 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(ExprTest, InListAnswersAsTheLinearScan) {
+  // Ints, doubles equal to ints (3 vs 3.0), +-0, int64s that round to the
+  // same double (Compare is exact between int64s but not against a
+  // double), strings, NULLs and NaN; lists are drawn with duplicates.
+  const int64_t big = int64_t{1} << 53;
+  const std::vector<Value> pool = {
+      Value::Int(3),         Value::Real(3.0),       Value::Int(-1),
+      Value::Real(-1.0),     Value::Real(2.5),       Value::Int(0),
+      Value::Real(0.0),      Value::Real(-0.0),      Value::Int(big),
+      Value::Int(big + 1),   Value::Real(static_cast<double>(big)), Value::Int(7),
+      Value::Str("3"),       Value::Str("VLDB"),     Value::Str(""),
+      Value::Null(),         Value::Real(std::nan(""))};
+  Rng rng(20240611);
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::vector<Value> list;
+    for (size_t n = rng.NextBounded(9); n > 0; --n) {
+      list.push_back(pool[rng.NextBounded(pool.size())]);
+    }
+    ExprPtr in = In(Col("t", "x"), list);
+    const auto& in_list = static_cast<const InListExpr&>(*in);
+    // values() and the SQL text keep the list exactly as given.
+    ASSERT_EQ(in_list.values().size(), list.size());
+    std::string sql = "t.x IN (";
+    for (size_t i = 0; i < list.size(); ++i) {
+      if (i > 0) sql += ", ";
+      sql += list[i].ToString();
+      EXPECT_EQ(in_list.values()[i].ToString(), list[i].ToString());
+    }
+    EXPECT_EQ(in->ToString(), sql + ")");
+    for (const Value& v : pool) {
+      const bool want = ScanInList(v, list);
+      EXPECT_EQ(in_list.Contains(v), want)
+          << v.ToString() << " in " << in->ToString();
+      EXPECT_EQ(Eval(in, MapRow({{"t.x", v}})), want)
+          << v.ToString() << " in " << in->ToString();
+    }
+  }
 }
 
 TEST(ExprTest, AndOrNot) {

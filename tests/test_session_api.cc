@@ -4,12 +4,13 @@
 // Session::Enumerate produces byte-identical records/tuples to calling the
 // algorithm's direct entry point on an equivalent engine — for all six
 // algorithms, on a cold and on a warm session engine. On top of that: probe
-// budgets truncate deterministically (a budgeted stream is a prefix of the
-// unbudgeted one), streaming sinks see exactly the collected output,
-// unknown names fail cleanly, the session's engine cache makes repeat
+// budgets truncate deterministically (a budgeted run's records are a prefix
+// or subset of the unbudgeted one's), the run checkpoint stops a run like a
+// dry budget and otherwise changes nothing, unknown names fail cleanly, the session's engine cache makes repeat
 // requests leaf-query-free, and refresh pins the epoch after mutations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "hypre/algorithms/peps.h"
 #include "hypre/algorithms/threshold_algorithm.h"
 #include "hypre/api/session.h"
+#include "hypre/server/codec.h"
 #include "ta_oracle.h"
 #include "test_fixtures.h"
 
@@ -204,44 +206,72 @@ TEST_F(SessionApiTest, BudgetTruncatesCombineTwoDeterministically) {
   ExpectRecordsEqual(exact.records, full.records, "combine-two exact budget");
 }
 
-TEST_F(SessionApiTest, BudgetedStreamIsAPrefixOfTheUnbudgetedStream) {
+TEST_F(SessionApiTest, BudgetedRecordsArePrefixesOfTheUnbudgetedRun) {
   // For the generation-ordered algorithms the budget is charged before
-  // probing (a generation prefix, or one bias-random check at a time), so
-  // a budgeted run's record-sink stream is a prefix of the unbudgeted
-  // run's stream, with the truncation flag set. Budgets are swept from 1
-  // up to the full run's spend.
+  // probing (a generation prefix, or one bias-random check at a time).
+  // Combine-two, partially-combine-all and bias-random return their
+  // records in probe order, so a budgeted run's records are a prefix of
+  // the unbudgeted run's, with the truncation flag set. Budgets are swept
+  // from 1 up to the full run's spend.
   for (const char* algorithm :
-       {"exhaustive", "combine-two", "partially-combine-all", "bias-random"}) {
-    std::vector<CombinationRecord> full_stream;
+       {"combine-two", "partially-combine-all", "bias-random"}) {
     EnumerationRequest request = MakeRequest(algorithm);
     request.seed = 7;
-    request.record_sink = [&](const CombinationRecord& record) {
-      full_stream.push_back(record);
-    };
     EnumerationResult full = Enumerate(request);
     ASSERT_FALSE(full.truncated) << algorithm;
-    ASSERT_FALSE(full_stream.empty()) << algorithm;
+    ASSERT_FALSE(full.records.empty()) << algorithm;
 
     for (size_t budget = 1;; ++budget) {
-      std::vector<CombinationRecord> stream;
       request.probe_budget = budget;
-      request.record_sink = [&](const CombinationRecord& record) {
-        stream.push_back(record);
-      };
       EnumerationResult capped = Enumerate(request);
       std::string label =
           std::string(algorithm) + " budget=" + std::to_string(budget);
-      ASSERT_LE(stream.size(), full_stream.size()) << label;
+      ASSERT_LE(capped.records.size(), full.records.size()) << label;
       ExpectRecordsEqual(
-          stream,
-          std::vector<CombinationRecord>(full_stream.begin(),
-                                         full_stream.begin() + stream.size()),
+          capped.records,
+          std::vector<CombinationRecord>(
+              full.records.begin(),
+              full.records.begin() +
+                  static_cast<std::ptrdiff_t>(capped.records.size())),
           label);
       if (!capped.truncated) {
-        ExpectRecordsEqual(stream, full_stream, label + " (complete)");
+        ExpectRecordsEqual(capped.records, full.records, label + " (complete)");
         break;
       }
       ASSERT_LT(budget, 1000u) << label;
+    }
+  }
+
+  // Exhaustive stable-sorts its records by intensity, so a larger budget
+  // may slot new records anywhere; what holds is that each budget's
+  // records are a subset of the next budget's, and that the first
+  // untruncated run is the unbudgeted one.
+  {
+    EnumerationRequest request = MakeRequest("exhaustive");
+    EnumerationResult full = Enumerate(request);
+    ASSERT_FALSE(full.truncated);
+    ASSERT_FALSE(full.records.empty());
+    std::vector<CombinationRecord> previous;
+    for (size_t budget = 1;; ++budget) {
+      request.probe_budget = budget;
+      EnumerationResult capped = Enumerate(request);
+      std::string label = "exhaustive budget=" + std::to_string(budget);
+      for (const CombinationRecord& record : previous) {
+        auto match = std::find_if(
+            capped.records.begin(), capped.records.end(),
+            [&](const CombinationRecord& other) {
+              return other.predicate_sql == record.predicate_sql;
+            });
+        ASSERT_NE(match, capped.records.end())
+            << label << " lost " << record.predicate_sql;
+        ExpectRecordsEqual({*match}, {record}, label);
+      }
+      if (!capped.truncated) {
+        ExpectRecordsEqual(capped.records, full.records, label + " (complete)");
+        break;
+      }
+      ASSERT_LT(budget, 1000u) << label;
+      previous = std::move(capped.records);
     }
   }
 
@@ -297,57 +327,93 @@ TEST_F(SessionApiTest, BudgetCapsTaSortedAccessDepth) {
   EXPECT_TRUE(tiny.truncated);
 }
 
-// --- Streaming sinks -------------------------------------------------------
+// --- The run checkpoint ----------------------------------------------------
 
-TEST_F(SessionApiTest, RecordSinkStreamsProbeOrder) {
-  std::vector<CombinationRecord> streamed;
-  EnumerationRequest request = MakeRequest("partially-combine-all");
-  request.record_sink = [&](const CombinationRecord& record) {
-    streamed.push_back(record);
-  };
-  EnumerationResult result = Enumerate(request);
-  // Partially-combine-all's result order IS probe order, so the stream
-  // matches the collected vector exactly.
-  ExpectRecordsEqual(streamed, result.records, "streamed records");
-}
-
-TEST_F(SessionApiTest, RecordSinkSeesAllApplicableExhaustiveRecords) {
-  std::vector<std::string> streamed;
-  EnumerationRequest request = MakeRequest("exhaustive");
-  request.record_sink = [&](const CombinationRecord& record) {
-    streamed.push_back(record.predicate_sql);
-  };
-  EnumerationResult result = Enumerate(request);
-  // The sink runs in probe order, the vector is intensity-sorted: same
-  // multiset.
-  ASSERT_EQ(streamed.size(), result.records.size());
-  std::vector<std::string> collected;
-  for (const auto& record : result.records) {
-    collected.push_back(record.predicate_sql);
+TEST_F(SessionApiTest, CheckpointThatStopsAtOnceTruncatesEveryAlgorithm) {
+  for (const std::string& name : session_->Algorithms()) {
+    for (size_t k : {size_t{0}, size_t{4}}) {
+      if (k > 0 && name != "peps" && name != "ta") continue;
+      std::string label = name + " k=" + std::to_string(k);
+      EnumerationRequest request = MakeRequest(name);
+      request.k = k;
+      request.seed = 7;
+      size_t calls = 0;
+      request.checkpoint = [&calls] {
+        ++calls;
+        return false;
+      };
+      EnumerationResult result = Enumerate(request);
+      EXPECT_TRUE(result.truncated) << label;
+      EXPECT_GE(calls, 1u) << label;
+      EXPECT_TRUE(result.records.empty()) << label;
+      EXPECT_EQ(result.valid_checks + result.invalid_checks, 0u) << label;
+      if (name == "peps" && k > 0) {
+        // Like a dry budget: no pair entered the table, so TopK ranks by
+        // the single preferences alone.
+        ASSERT_FALSE(result.top_k.empty()) << label;
+        for (const RankedTuple& tuple : result.top_k) {
+          EXPECT_TRUE(std::any_of(prefs_.begin(), prefs_.end(),
+                                  [&](const core::PreferenceAtom& atom) {
+                                    return atom.intensity == tuple.intensity;
+                                  }))
+              << label;
+        }
+      } else {
+        EXPECT_TRUE(result.top_k.empty()) << label;
+      }
+      // The stopped run released everything it held.
+      auto engine = session_->GetEngine(MiniBaseQuery(), "dblp.pid");
+      ASSERT_TRUE(engine.ok());
+      EXPECT_EQ((*engine)->num_epoch_pins(), 0u) << label;
+      EXPECT_EQ(session_->scheduler().stats().inflight, 0u) << label;
+    }
   }
-  std::sort(streamed.begin(), streamed.end());
-  std::sort(collected.begin(), collected.end());
-  EXPECT_EQ(streamed, collected);
 }
 
-TEST_F(SessionApiTest, TupleSinkStreamsRankOrder) {
-  std::vector<RankedTuple> streamed;
-  EnumerationRequest request = MakeRequest("peps");
-  request.k = 5;
-  request.tuple_sink = [&](const RankedTuple& tuple) {
-    streamed.push_back(tuple);
-  };
-  EnumerationResult result = Enumerate(request);
-  ExpectTuplesEqual(streamed, result.top_k, "peps streamed tuples");
+TEST_F(SessionApiTest, CheckpointThatGoesOnChangesNoByte) {
+  // Warm the engine first so both runs report the same (warm) stats.
+  Enumerate(MakeRequest("exhaustive"));
+  for (const std::string& name : session_->Algorithms()) {
+    for (size_t k : {size_t{0}, size_t{4}}) {
+      if (k > 0 && name != "peps" && name != "ta") continue;
+      for (size_t budget : {size_t{0}, size_t{6}}) {
+        std::string label = name + " k=" + std::to_string(k) +
+                            " budget=" + std::to_string(budget);
+        EnumerationRequest request = MakeRequest(name);
+        request.k = k;
+        request.seed = 7;
+        request.probe_budget = budget;
+        const std::string plain =
+            server::EncodeEnumerationResult(name, Enumerate(request));
+        size_t calls = 0;
+        request.checkpoint = [&calls] {
+          ++calls;
+          return true;
+        };
+        EXPECT_EQ(server::EncodeEnumerationResult(name, Enumerate(request)),
+                  plain)
+            << label;
+        EXPECT_GE(calls, 1u) << label;
+      }
+    }
+  }
+}
 
-  streamed.clear();
-  request = MakeRequest("ta");
-  request.k = 4;
-  request.tuple_sink = [&](const RankedTuple& tuple) {
-    streamed.push_back(tuple);
-  };
-  result = Enumerate(request);
-  ExpectTuplesEqual(streamed, result.top_k, "ta streamed tuples");
+TEST_F(SessionApiTest, CheckpointIsNotAskedAboutFinishedTaRounds) {
+  // TA charges its sorted-access rounds after they ran; a checkpoint that
+  // says stop only after its first answer must leave the ranking complete.
+  for (size_t budget : {size_t{0}, size_t{1000}}) {
+    EnumerationRequest request = MakeRequest("ta");
+    request.k = 3;
+    request.probe_budget = budget;
+    EnumerationResult plain = Enumerate(request);
+    ASSERT_FALSE(plain.truncated);
+    size_t calls = 0;
+    request.checkpoint = [&calls] { return calls++ == 0; };
+    EnumerationResult result = Enumerate(request);
+    EXPECT_FALSE(result.truncated) << "budget=" << budget;
+    ExpectTuplesEqual(result.top_k, plain.top_k, "ta late stop");
+  }
 }
 
 // --- Errors and the algorithm table ---------------------------------------
